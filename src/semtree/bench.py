@@ -2,29 +2,21 @@
 
 ``run_bench`` times ``partition_scores`` and ``map_labels`` on random
 inputs over a given encoding and reports the median of several repeats
-(one warm-up run is discarded). Optionally it also times pure-Python
-reference implementations on a reduced batch so the vectorized speedup
-can be judged without waiting minutes for the references, and a chunked
-multi-threaded partition whose output is checked against the
-single-shot one.
+(one warm-up run is discarded), next to the byte counts of every
+tensor involved.
 """
 
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InsufficientMemory, ParameterError, SemtreeError
-from .transforms import NEG_INF, partition_scores, map_labels
-from .tree import PAD, TreeEncoding, measured_bytes, recover_parents, storage_bytes
-
-# Keep the pure-Python references from touching more than this many
-# tensor elements; they are hundreds of times slower than the real code.
-BASELINE_ELEMENT_BUDGET = 2_000_000
+from .errors import InsufficientMemory, ParameterError
+from .transforms import partition_scores, map_labels
+from .tree import TreeEncoding, measured_bytes, storage_bytes
 
 
 def scores_bytes(batch: int, num_classes: int) -> int:
@@ -47,35 +39,6 @@ def path_labels_bytes(batch: int, num_levels: int) -> int:
     return batch * num_levels * 8
 
 
-def partition_scores_baseline(enc: TreeEncoding, scores, mask_value=NEG_INF):
-    """Per-element reference partition. Slow on purpose; small batches only."""
-    levels = enc.level_of.tolist()
-    out = []
-    for row in scores.tolist():
-        sample = []
-        for l in range(enc.num_levels):
-            sample.append(
-                [row[c] if levels[c] == l else mask_value for c in range(len(row))]
-            )
-        out.append(sample)
-    return out
-
-
-def map_labels_baseline(enc: TreeEncoding, labels):
-    """Per-sample reference label mapping via parent walks."""
-    parents = recover_parents(enc).tolist()
-    out = []
-    for label in labels.tolist():
-        path = []
-        node = label
-        while node != -1:
-            path.append(node)
-            node = parents[node]
-        path.reverse()
-        out.append(path + [PAD] * (enc.num_levels - len(path)))
-    return out
-
-
 @dataclass
 class BenchReport:
     """Every number produced by one ``run_bench`` call."""
@@ -92,14 +55,10 @@ class BenchReport:
     encoding_bytes_in_memory: int
     partition_ns: int
     map_labels_ns: int
-    baseline_batch_size: int
-    baseline_partition_ns: Optional[int] = None
-    baseline_map_labels_ns: Optional[int] = None
-    parallel_partition_ns: Optional[int] = None
 
     def _pairs(self) -> list[tuple[str, str]]:
         ms = lambda ns: f"{ns / 1e6:.3f} ms"
-        pairs = [
+        return [
             ("classes", str(self.num_classes)),
             ("levels", str(self.num_levels)),
             ("batch", str(self.batch_size)),
@@ -113,15 +72,6 @@ class BenchReport:
             ("partition median", ms(self.partition_ns)),
             ("map labels median", ms(self.map_labels_ns)),
         ]
-        if self.baseline_partition_ns is not None:
-            pairs += [
-                ("baseline batch", str(self.baseline_batch_size)),
-                ("baseline partition median", ms(self.baseline_partition_ns)),
-                ("baseline map labels median", ms(self.baseline_map_labels_ns)),
-            ]
-        if self.parallel_partition_ns is not None:
-            pairs.append(("parallel partition median", ms(self.parallel_partition_ns)))
-        return pairs
 
     def as_table(self) -> str:
         pairs = self._pairs()
@@ -129,9 +79,7 @@ class BenchReport:
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs)
 
     def as_kv(self) -> str:
-        return "\n".join(
-            f"{k}={v}" for k, v in vars(self).items() if v is not None
-        )
+        return "\n".join(f"{k}={v}" for k, v in vars(self).items())
 
 
 def _available_bytes() -> Optional[int]:
@@ -153,20 +101,12 @@ def _median_ns(fn, reps: int) -> int:
 
 
 def run_bench(
-    enc: TreeEncoding,
-    batch_size: int,
-    reps: int,
-    *,
-    seed: int = 0,
-    baseline_batch_size: Optional[int] = None,
-    parallel: bool = False,
+    enc: TreeEncoding, batch_size: int, reps: int, *, seed: int = 0
 ) -> BenchReport:
     """Measure the batched transforms over one encoding.
 
-    ``baseline_batch_size`` controls the pure-Python references: None
-    picks the largest batch within ``BASELINE_ELEMENT_BUDGET`` tensor
-    elements, 0 skips them. Raises ``InsufficientMemory`` up front when
-    the score tensors cannot fit in available memory.
+    Raises ``InsufficientMemory`` up front when the score tensors cannot
+    fit in available memory.
     """
     if reps < 3:
         raise ParameterError(f"need at least 3 repetitions for a median, got {reps}")
@@ -190,47 +130,6 @@ def run_bench(
 
         partition_ns = _median_ns(lambda: partition_scores(enc, scores), reps)
         map_labels_ns = _median_ns(lambda: map_labels(enc, labels), reps)
-
-        if baseline_batch_size is None:
-            baseline_batch_size = min(
-                batch_size, max(1, BASELINE_ELEMENT_BUDGET // (L * n))
-            )
-        baseline_partition_ns = None
-        baseline_map_labels_ns = None
-        if baseline_batch_size > 0:
-            baseline_batch_size = min(baseline_batch_size, batch_size)
-            small = scores[:baseline_batch_size]
-            small_labels = labels[:baseline_batch_size]
-            baseline_partition_ns = _median_ns(
-                lambda: partition_scores_baseline(enc, small), reps
-            )
-            baseline_map_labels_ns = _median_ns(
-                lambda: map_labels_baseline(enc, small_labels), reps
-            )
-            vec = partition_scores(enc, small)
-            ref = np.array(partition_scores_baseline(enc, small), dtype=vec.data.dtype)
-            if not np.array_equal(vec.data, ref):
-                raise SemtreeError("reference partition disagrees with the real one")
-            ref_paths = np.array(map_labels_baseline(enc, small_labels))
-            if not np.array_equal(map_labels(enc, small_labels).data, ref_paths):
-                raise SemtreeError("reference label mapping disagrees with the real one")
-            del vec, ref
-
-        parallel_partition_ns = None
-        if parallel:
-            workers = min(4, max(2, os.cpu_count() or 1))
-            chunks = np.array_split(scores, workers)
-
-            def chunked():
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    parts = list(
-                        pool.map(lambda c: partition_scores(enc, c).data, chunks)
-                    )
-                return np.concatenate(parts, axis=0)
-
-            parallel_partition_ns = _median_ns(chunked, reps)
-            if not np.array_equal(chunked(), partition_scores(enc, scores).data):
-                raise SemtreeError("chunked partition disagrees with the single-shot one")
     except MemoryError as e:
         raise InsufficientMemory(
             f"benchmark ran out of memory for batch {batch_size} over "
@@ -250,8 +149,4 @@ def run_bench(
         encoding_bytes_in_memory=measured_bytes(enc),
         partition_ns=partition_ns,
         map_labels_ns=map_labels_ns,
-        baseline_batch_size=baseline_batch_size,
-        baseline_partition_ns=baseline_partition_ns,
-        baseline_map_labels_ns=baseline_map_labels_ns,
-        parallel_partition_ns=parallel_partition_ns,
     )

@@ -143,14 +143,7 @@ def cmd_bench(args) -> int:
         num_classes=args.classes, num_levels=args.levels, seed=args.seed
     )
     enc = encode(generate_synthetic(spec))
-    report = bench_mod.run_bench(
-        enc,
-        args.batch,
-        args.reps,
-        seed=args.seed,
-        baseline_batch_size=args.baseline_batch,
-        parallel=args.parallel,
-    )
+    report = bench_mod.run_bench(enc, args.batch, args.reps, seed=args.seed)
     if args.format in ("table", "both"):
         print(report.as_table())
     if args.format in ("kv", "both"):
@@ -228,13 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=100)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallel", action="store_true", help="also time chunked threads")
-    p.add_argument(
-        "--baseline-batch",
-        type=int,
-        default=None,
-        help="batch for the pure-Python references (0 skips them)",
-    )
     p.add_argument("--format", choices=("table", "kv", "both"), default="table")
     p.set_defaults(func=cmd_bench)
 

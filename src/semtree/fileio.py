@@ -1,99 +1,242 @@
-"""Binary and CSV file formats for the CLI surfaces.
+"""Binary and CSV file formats, including the byte form of an encoding.
 
-All binary formats are little-endian, open with a four-byte magic plus
-a u16 version, and are length-checked on read: a stream with trailing
-or missing bytes is rejected rather than partially decoded. Class ids
-on disk are 1-based with -1 as padding; every reader hands back the
-0-based in-memory form.
+Every binary format is one entry of ``_FORMATS``: a four-byte magic, a
+u16 version, u32 dimensions, optionally a mask mode and fill, then the
+payload arrays, whose dtypes and shapes follow from the dimensions. All
+of it is little-endian. One reader and one writer serve every entry.
+The reader checks the declared length against the stream's size before
+it allocates anything, so a stream with trailing or missing bytes is
+rejected rather than partially decoded, and then reads each array in
+place. Class ids on disk are 1-based with -1 as padding; every reader
+hands back the 0-based in-memory form.
 
 Score and label files may also be CSV (picked by the ``.csv``
 extension) for small batches; the binary formats have no size cap.
 """
 
+import io
+import math
 import os
 import struct
-from typing import Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .tree import PAD, TreeEncoding, deserialize, display_ids, from_display, serialize
+from .tree import PAD, TreeEncoding, display_ids, validate
 from .transforms import NEG_INF, FlatTrainingSet, PartitionedScores, PathLabels
 
 Pathish = Union[str, os.PathLike]
 
 CSV_ELEMENT_CAP = 1_000_000
+FORMAT_VERSION = 1
 
-_SCORES = struct.Struct("<4sHII")  # magic, version, batch, classes
-_LABELS = struct.Struct("<4sHI")  # magic, version, batch
-_PATHS = struct.Struct("<4sHII")  # magic, version, batch, levels
-_PART = struct.Struct("<4sHIIIBf")  # ..., batch, levels, classes, mode, fill
-_FLAT = struct.Struct("<4sHIIBf")  # ..., rows, classes, mode, fill
 
-_MODE_NEG_INF = 0
-_MODE_NAN = 1
-_MODE_SCALAR = 2
+class _Array(NamedTuple):
+    """One payload array, and the values its entries may take."""
+
+    dtype: str
+    shape: tuple[int, ...]
+    name: str = ""  # how errors name an entry
+    low: Optional[int] = None  # entries below low or above high are rejected
+    high: Optional[int] = None
+    pad: bool = False  # PAD is accepted besides low..high
+    ids: bool = False  # 1-based class ids on disk, 0-based in memory
+
+
+class _Format(NamedTuple):
+    magic: bytes
+    dims: int  # u32 dimensions in the header
+    masked: bool  # a u8 mask mode and an f32 fill follow the dimensions
+    layout: Callable[..., tuple[_Array, ...]]  # dimensions -> payload arrays
+
+    @property
+    def header(self) -> struct.Struct:
+        return struct.Struct("<4sH" + "I" * self.dims + ("Bf" if self.masked else ""))
+
+
+# fmt: off
+_FORMATS = {
+    "encoding": _Format(b"HTRE", 2, False, lambda n, L: (
+        _Array("u1", (L, n), "mask byte", 0, 1),
+        _Array("<i4", (n, L), "1-based path entry", 1, n, pad=True, ids=True),
+    )),
+    "scores": _Format(b"HTSB", 2, False, lambda b, c: (
+        _Array("<f4", (b, c)),
+    )),
+    "labels": _Format(b"HTLB", 1, False, lambda b: (
+        _Array("<i8", (b,), "1-based label", 1, ids=True),
+    )),
+    "path labels": _Format(b"HTPL", 2, False, lambda b, L: (
+        _Array("<i8", (b, L), "1-based path label", 1, pad=True, ids=True),
+    )),
+    "partitioned": _Format(b"HTPT", 3, True, lambda b, L, c: (
+        _Array("<f4", (b, L, c)),
+    )),
+    "flat": _Format(b"HTFT", 2, True, lambda rows, c: (
+        _Array("<f4", (rows, c)),
+        _Array("<i8", (rows,), "1-based label", 1, ids=True),
+        _Array("<i8", (rows, 2), "origin index", 0),
+    )),
+}
+# fmt: on
+
+
+# Mask modes on disk: 0 is -inf, 1 is NaN, 2 is the fill that follows.
+def _mask_mode(mask_value: float) -> tuple[int, float]:
+    if mask_value == NEG_INF:
+        return 0, 0.0
+    if np.isnan(mask_value):
+        return 1, 0.0
+    # Finite fills are stored as f32, matching the payload precision.
+    return 2, float(np.float32(mask_value))
+
+
+def _mask_value(mode: int, fill: float) -> float:
+    if mode > 2:
+        raise FormatError(f"unknown mask mode {mode}")
+    return (NEG_INF, float("nan"), float(fill))[mode]
+
+
+# -- the container -------------------------------------------------------------
+
+
+def _decode(a: np.ndarray, spec: _Array) -> None:
+    """Reject entries outside the spec's range, then make ids 0-based in place."""
+    if spec.low is None or a.size == 0:
+        return
+    # The two reductions need no temporaries; masks are built only on a miss.
+    if a.min() < spec.low or (spec.high is not None and a.max() > spec.high):
+        bad = a < spec.low
+        if spec.high is not None:
+            bad |= a > spec.high
+        if spec.pad:
+            bad &= a != PAD
+        if bad.any():
+            at = np.unravel_index(np.argmax(bad), a.shape)
+            valid = f"{spec.low}..{'' if spec.high is None else spec.high}"
+            raise FormatError(
+                f"{spec.name} {int(a[at])} at position "
+                f"{', '.join(str(i + 1) for i in at)} is not in "
+                + (f"{valid} or {PAD}" if spec.pad else valid)
+            )
+    if spec.ids:
+        np.subtract(a, 1, out=a, where=(a != PAD) if spec.pad else True)
+
+
+def _read(stream, size: int, fmt: _Format) -> list:
+    """The payload arrays of a ``size``-byte stream, plus the mask value if any."""
+    raw = stream.read(fmt.header.size)
+    if len(raw) < fmt.header.size:
+        raise FormatError("truncated stream: missing header")
+    magic, version, *dims = fmt.header.unpack(raw)
+    if magic != fmt.magic:
+        raise FormatError(f"expected magic {fmt.magic.decode()}")
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported format version {version}")
+    tail = []
+    if fmt.masked:
+        *dims, mode, fill = dims
+        tail.append(_mask_value(mode, fill))
+    specs = fmt.layout(*dims)
+    expected = fmt.header.size + sum(
+        math.prod(s.shape) * np.dtype(s.dtype).itemsize for s in specs
+    )
+    if size != expected:
+        raise FormatError(f"stream holds {size} bytes, expected {expected}")
+    arrays = []
+    for spec in specs:
+        a = np.empty(spec.shape, dtype=spec.dtype)
+        # Buffered files and BytesIO fill the whole buffer unless the data ends.
+        if stream.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:
+            raise FormatError("truncated stream: payload ends early")
+        _decode(a, spec)
+        arrays.append(a)
+    return arrays + tail
+
+
+def _write(stream, fmt: _Format, dims: tuple, arrays, mask_value=None) -> None:
+    mode = _mask_mode(mask_value) if fmt.masked else ()
+    stream.write(fmt.header.pack(fmt.magic, FORMAT_VERSION, *dims, *mode))
+    for spec, a in zip(fmt.layout(*dims), arrays):
+        stream.write(
+            np.ascontiguousarray(display_ids(a) if spec.ids else a, dtype=spec.dtype)
+        )
+
+
+def _read_file(path: Pathish, decode, *args):
+    """``decode(stream, size, *args)`` over a file; its errors name the file."""
+    try:
+        with open(path, "rb") as f:
+            return decode(f, os.fstat(f.fileno()).st_size, *args)
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
+def _write_file(path: Pathish, fmt: _Format, dims, arrays, mask_value=None) -> None:
+    with open(path, "wb") as f:
+        _write(f, fmt, dims, arrays, mask_value)
 
 
 def _is_csv(path: Pathish) -> bool:
     return os.fspath(path).lower().endswith(".csv")
 
 
-def _read_bytes(path: Pathish) -> bytes:
-    with open(path, "rb") as f:
-        return f.read()
-
-
-def _unpack_header(header: struct.Struct, data: bytes, magic: bytes, path: Pathish):
-    if len(data) < header.size:
-        raise FormatError(f"{path}: truncated stream, missing header")
-    fields = header.unpack_from(data)
-    if fields[0] != magic:
-        raise FormatError(f"{path}: expected magic {magic.decode()}")
-    if fields[1] != 1:
-        raise FormatError(f"{path}: unsupported format version {fields[1]}")
-    return fields[2:]
-
-
-def _check_length(data: bytes, expected: int, path: Pathish) -> None:
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: stream holds {len(data)} bytes, expected {expected}"
-        )
-
-
-def _mask_mode(mask_value: float) -> tuple[int, float]:
-    if mask_value == NEG_INF:
-        return _MODE_NEG_INF, 0.0
-    if np.isnan(mask_value):
-        return _MODE_NAN, 0.0
-    # Finite fills are stored as f32, matching the payload precision.
-    return _MODE_SCALAR, float(np.float32(mask_value))
-
-
-def _mask_value(mode: int, fill: float, path: Pathish) -> float:
-    if mode == _MODE_NEG_INF:
-        return NEG_INF
-    if mode == _MODE_NAN:
-        return float("nan")
-    if mode == _MODE_SCALAR:
-        return float(fill)
-    raise FormatError(f"{path}: unknown mask mode {mode}")
-
-
 # -- encodings ---------------------------------------------------------------
+
+
+def _read_tree(stream, size: int, check: bool) -> TreeEncoding:
+    masks, paths = _read(stream, size, _FORMATS["encoding"])
+    n, L = paths.shape
+    if n == 0 or L == 0:
+        raise FormatError("malformed header: zero dimension")
+    masks = masks.view(bool)
+    enc = TreeEncoding(
+        num_classes=n,
+        num_levels=L,
+        masks=masks,
+        paths=paths,
+        # argmin over booleans finds each column's first unmasked row.
+        level_of=np.argmin(masks, axis=0).astype(np.int32),
+    )
+    if check:
+        report = validate(enc)
+        if not report.ok:
+            raise FormatError(
+                "stream decodes to an invalid encoding: "
+                + report.violations[0].message
+            )
+    return enc
+
+
+def _write_tree(stream, enc: TreeEncoding) -> None:
+    dims = (enc.num_classes, enc.num_levels)
+    _write(stream, _FORMATS["encoding"], dims, (enc.masks, enc.paths))
+
+
+def serialize(enc: TreeEncoding) -> bytes:
+    """Portable byte form: header, masks as 0/1 bytes, paths as 1-based i32."""
+    out = io.BytesIO()
+    _write_tree(out, enc)
+    return out.getvalue()
+
+
+def deserialize(data: bytes, check: bool = True) -> TreeEncoding:
+    """Rebuild an encoding from its serialized form.
+
+    With ``check`` (the default) the result must pass ``validate``;
+    pass ``check=False`` to load a damaged encoding for inspection.
+    """
+    return _read_tree(io.BytesIO(data), len(data), check)
 
 
 def write_encoding(enc: TreeEncoding, path: Pathish) -> None:
     with open(path, "wb") as f:
-        f.write(serialize(enc))
+        _write_tree(f, enc)
 
 
 def read_encoding(path: Pathish, check: bool = True) -> TreeEncoding:
-    try:
-        return deserialize(_read_bytes(path), check=check)
-    except FormatError as e:
-        raise FormatError(f"{path}: {e}") from None
+    return _read_file(path, _read_tree, check)
 
 
 # -- flat scores -------------------------------------------------------------
@@ -111,29 +254,23 @@ def write_scores(scores: np.ndarray, path: Pathish) -> None:
             )
         np.savetxt(path, scores.astype(np.float32), fmt="%.9g", delimiter=",")
         return
-    b, c = scores.shape
-    with open(path, "wb") as f:
-        f.write(_SCORES.pack(b"HTSB", 1, b, c))
-        f.write(scores.astype("<f4").tobytes())
+    _write_file(path, _FORMATS["scores"], scores.shape, (scores,))
 
 
 def read_scores(path: Pathish) -> np.ndarray:
-    if _is_csv(path):
-        try:
-            scores = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
-        except ValueError as e:
-            raise FormatError(f"{path}: {e}") from None
-        if scores.size > CSV_ELEMENT_CAP:
-            raise FormatError(
-                f"{path}: CSV holds at most {CSV_ELEMENT_CAP} scores, "
-                f"got {scores.size}; use the binary format"
-            )
+    if not _is_csv(path):
+        (scores,) = _read_file(path, _read, _FORMATS["scores"])
         return scores
-    data = _read_bytes(path)
-    b, c = _unpack_header(_SCORES, data, b"HTSB", path)
-    _check_length(data, _SCORES.size + b * c * 4, path)
-    scores = np.frombuffer(data, dtype="<f4", count=b * c, offset=_SCORES.size)
-    return scores.reshape(b, c).copy()
+    try:
+        scores = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None
+    if scores.size > CSV_ELEMENT_CAP:
+        raise FormatError(
+            f"{path}: CSV holds at most {CSV_ELEMENT_CAP} scores, "
+            f"got {scores.size}; use the binary format"
+        )
+    return scores
 
 
 # -- flat labels -------------------------------------------------------------
@@ -148,115 +285,58 @@ def write_labels(labels: np.ndarray, path: Pathish) -> None:
     if _is_csv(path):
         np.savetxt(path, display_ids(labels), fmt="%d")
         return
-    with open(path, "wb") as f:
-        f.write(_LABELS.pack(b"HTLB", 1, labels.size))
-        f.write(display_ids(labels).astype("<i8").tobytes())
+    _write_file(path, _FORMATS["labels"], labels.shape, (labels,))
 
 
 def read_labels(path: Pathish) -> np.ndarray:
-    if _is_csv(path):
-        try:
-            disk = np.loadtxt(path, dtype=np.int64, ndmin=1)
-        except ValueError as e:
-            raise FormatError(f"{path}: {e}") from None
-    else:
-        data = _read_bytes(path)
-        (b,) = _unpack_header(_LABELS, data, b"HTLB", path)
-        _check_length(data, _LABELS.size + b * 8, path)
-        disk = np.frombuffer(data, dtype="<i8", count=b, offset=_LABELS.size)
-    if (disk < 1).any():
-        i = int(np.argmax(disk < 1))
-        raise FormatError(
-            f"{path}: label {int(disk[i])} at entry {i + 1} is not a "
-            f"1-based class id"
-        )
-    return from_display(disk).astype(np.int64)
+    if not _is_csv(path):
+        (labels,) = _read_file(path, _read, _FORMATS["labels"])
+        return labels
+    try:
+        labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
+        (spec,) = _FORMATS["labels"].layout(labels.size)
+        _decode(labels, spec)
+    except (ValueError, FormatError) as e:
+        raise FormatError(f"{path}: {e}") from None
+    return labels
 
 
 # -- path labels -------------------------------------------------------------
 
 
 def write_path_labels(path_labels: PathLabels, path: Pathish) -> None:
-    b, L = path_labels.data.shape
-    with open(path, "wb") as f:
-        f.write(_PATHS.pack(b"HTPL", 1, b, L))
-        f.write(display_ids(path_labels.data).astype("<i8").tobytes())
+    data = path_labels.data
+    _write_file(path, _FORMATS["path labels"], data.shape, (data,))
 
 
 def read_path_labels(path: Pathish) -> PathLabels:
-    data = _read_bytes(path)
-    b, L = _unpack_header(_PATHS, data, b"HTPL", path)
-    _check_length(data, _PATHS.size + b * L * 8, path)
-    disk = np.frombuffer(data, dtype="<i8", count=b * L, offset=_PATHS.size)
-    disk = disk.reshape(b, L)
-    bad = (disk < 1) & (disk != PAD)
-    if bad.any():
-        r, l = (int(x) for x in np.argwhere(bad)[0])
-        raise FormatError(
-            f"{path}: entry {int(disk[r, l])} at row {r + 1}, level {l + 1} "
-            f"is neither a 1-based class id nor padding"
-        )
-    return PathLabels(data=from_display(disk).astype(np.int64))
+    (data,) = _read_file(path, _read, _FORMATS["path labels"])
+    return PathLabels(data=data)
 
 
 # -- partitioned scores ------------------------------------------------------
 
 
 def write_partitioned(parts: PartitionedScores, path: Pathish) -> None:
-    b, L, c = parts.data.shape
-    mode, fill = _mask_mode(parts.mask_value)
-    with open(path, "wb") as f:
-        f.write(_PART.pack(b"HTPT", 1, b, L, c, mode, fill))
-        f.write(parts.data.astype("<f4").tobytes())
+    data = parts.data
+    _write_file(path, _FORMATS["partitioned"], data.shape, (data,), parts.mask_value)
 
 
 def read_partitioned(path: Pathish) -> PartitionedScores:
-    data = _read_bytes(path)
-    b, L, c, mode, fill = _unpack_header(_PART, data, b"HTPT", path)
-    _check_length(data, _PART.size + b * L * c * 4, path)
-    raw = np.frombuffer(data, dtype="<f4", count=b * L * c, offset=_PART.size)
-    return PartitionedScores(
-        data=raw.reshape(b, L, c).copy(),
-        mask_value=_mask_value(mode, fill, path),
-    )
+    data, mask_value = _read_file(path, _read, _FORMATS["partitioned"])
+    return PartitionedScores(data=data, mask_value=mask_value)
 
 
 # -- flat training sets ------------------------------------------------------
 
 
 def write_flat(flat: FlatTrainingSet, path: Pathish) -> None:
-    rows, c = flat.rows.shape
-    mode, fill = _mask_mode(flat.mask_value)
-    with open(path, "wb") as f:
-        f.write(_FLAT.pack(b"HTFT", 1, rows, c, mode, fill))
-        f.write(flat.rows.astype("<f4").tobytes())
-        f.write(display_ids(flat.labels).astype("<i8").tobytes())
-        f.write(flat.origin.astype("<i8").tobytes())
+    arrays = (flat.rows, flat.labels, flat.origin)
+    _write_file(path, _FORMATS["flat"], flat.rows.shape, arrays, flat.mask_value)
 
 
 def read_flat(path: Pathish) -> FlatTrainingSet:
-    data = _read_bytes(path)
-    rows, c, mode, fill = _unpack_header(_FLAT, data, b"HTFT", path)
-    expected = _FLAT.size + rows * c * 4 + rows * 8 + rows * 2 * 8
-    _check_length(data, expected, path)
-    off = _FLAT.size
-    raw = np.frombuffer(data, dtype="<f4", count=rows * c, offset=off)
-    off += rows * c * 4
-    disk_labels = np.frombuffer(data, dtype="<i8", count=rows, offset=off)
-    off += rows * 8
-    origin = np.frombuffer(data, dtype="<i8", count=rows * 2, offset=off)
-    bad = disk_labels < 1
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise FormatError(
-            f"{path}: label {int(disk_labels[i])} at row {i + 1} is not a "
-            f"1-based class id"
-        )
-    if (origin < 0).any():
-        raise FormatError(f"{path}: negative origin index")
+    rows, labels, origin, mask_value = _read_file(path, _read, _FORMATS["flat"])
     return FlatTrainingSet(
-        rows=raw.reshape(rows, c).copy(),
-        labels=from_display(disk_labels).astype(np.int64),
-        origin=origin.reshape(rows, 2).copy(),
-        mask_value=_mask_value(mode, fill, path),
+        rows=rows, labels=labels, origin=origin, mask_value=mask_value
     )

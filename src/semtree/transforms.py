@@ -160,19 +160,14 @@ def flatten_for_training(
     )
 
 
-def cross_entropy(
-    flat: FlatTrainingSet,
-    mask_value: float = NEG_INF,
-    reduction: str = "mean",
-) -> LossResult:
+def cross_entropy(flat: FlatTrainingSet, reduction: str = "mean") -> LossResult:
     """Numerically stable cross entropy over the retained training rows.
 
     Only rows masked with ``-inf`` are supported: exp(-inf) is exactly
     zero, so excluded classes vanish from the normalizer with no special
     cases. The per-row losses and their mean (or sum) are returned.
     """
-    mask_value = float(mask_value)
-    if mask_value != NEG_INF:
+    if flat.mask_value != NEG_INF:
         raise UnsupportedMaskValue(
             "loss requires -inf masking; NaN or finite fills would "
             "corrupt the normalizer"

@@ -14,20 +14,15 @@ Class ids are 0-based in memory. File formats and CLI output show them
 1-based; ``display_ids`` / ``from_display`` convert between the two.
 """
 
-import struct
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import CyclicTaxonomy, FormatError, ParameterError
+from .errors import CyclicTaxonomy, ParameterError
 
 PAD = -1
 NO_PARENT = -1
-
-MAGIC = b"HTRE"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sHII")  # magic, version, num_classes, num_levels
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,18 +36,20 @@ class Taxonomy:
     parents: np.ndarray
 
     def __post_init__(self):
-        parents = np.ascontiguousarray(self.parents, dtype=np.int32)
-        if parents.ndim != 1:
+        parents = np.asarray(self.parents)
+        if parents.ndim != 1 or not np.issubdtype(parents.dtype, np.integer):
             raise ParameterError("parents must be a 1-d integer array")
         n = parents.size
         if n == 0:
             raise ParameterError("taxonomy must declare at least one class")
+        # Range-check before the int32 cast, which would wrap large ids.
         bad = (parents < NO_PARENT) | (parents >= n)
         if bad.any():
             c = int(np.argmax(bad))
             raise ParameterError(
                 f"parent {int(parents[c])} of class {c + 1} is not a class id"
             )
+        parents = np.ascontiguousarray(parents, dtype=np.int32)
         object.__setattr__(self, "parents", parents)
         parents.flags.writeable = False
 
@@ -351,69 +348,3 @@ def from_display(a: np.ndarray, pad: int = PAD) -> np.ndarray:
     """Inverse of ``display_ids``."""
     a = np.asarray(a)
     return np.where(a == pad, pad, a - 1)
-
-
-def serialize(enc: TreeEncoding) -> bytes:
-    """Portable byte form: header, masks as 0/1 bytes, paths as 1-based i32."""
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, enc.num_classes, enc.num_levels)
-    masks = enc.masks.astype(np.uint8).tobytes()
-    paths = display_ids(enc.paths).astype("<i4").tobytes()
-    return header + masks + paths
-
-
-def deserialize(data: bytes, check: bool = True) -> TreeEncoding:
-    """Rebuild an encoding from its serialized form.
-
-    With ``check`` (the default) the result must pass ``validate``;
-    pass ``check=False`` to load a damaged encoding for inspection.
-    """
-    if len(data) < _HEADER.size:
-        raise FormatError("truncated stream: missing header")
-    magic, version, n, L = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise FormatError(f"malformed header: expected magic {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version}")
-    if n == 0 or L == 0:
-        raise FormatError("malformed header: zero dimension")
-    expected = _HEADER.size + L * n + n * L * 4
-    if len(data) != expected:
-        raise FormatError(
-            f"stream holds {len(data)} bytes, expected {expected} "
-            f"for {n} classes and {L} levels"
-        )
-
-    off = _HEADER.size
-    raw_masks = np.frombuffer(data, dtype=np.uint8, count=L * n, offset=off)
-    if (raw_masks > 1).any():
-        raise FormatError("mask bytes must be 0 or 1")
-    masks = raw_masks.reshape(L, n).astype(bool)
-    off += L * n
-    disk_paths = np.frombuffer(data, dtype="<i4", count=n * L, offset=off)
-    disk_paths = disk_paths.reshape(n, L)
-    bad = ~(((disk_paths >= 1) & (disk_paths <= n)) | (disk_paths == PAD))
-    if bad.any():
-        c, l = (int(x) for x in np.argwhere(bad)[0])
-        raise FormatError(
-            f"path entry {int(disk_paths[c, l])} at row {c + 1}, "
-            f"level {l + 1} is neither a class id nor padding"
-        )
-    paths = from_display(disk_paths).astype(np.int32)
-    # argmin over booleans finds each column's first unmasked row.
-    level_of = np.argmin(masks, axis=0).astype(np.int32)
-
-    enc = TreeEncoding(
-        num_classes=int(n),
-        num_levels=int(L),
-        masks=masks,
-        paths=paths,
-        level_of=level_of,
-    )
-    if check:
-        report = validate(enc)
-        if not report.ok:
-            raise FormatError(
-                "stream decodes to an invalid encoding: "
-                + report.violations[0].message
-            )
-    return enc

@@ -177,9 +177,7 @@ def test_c06_decoders_match_exhaustive_references(criterion):
 
 def test_c07_byte_accounting_matches_closed_forms(criterion, full_scale_tree):
     with criterion("c07", "benchmark byte accounting matches the closed-form sizes"):
-        report = st.run_bench(
-            full_scale_tree["encoding"], batch_size=100, reps=3, baseline_batch_size=1
-        )
+        report = st.run_bench(full_scale_tree["encoding"], batch_size=100, reps=3)
         assert report.scores_bytes == 47_063_600
         assert report.partitioned_bytes == 941_272_000
         assert report.labels_bytes == 800
@@ -216,8 +214,8 @@ def test_c09_cost_tracks_tensor_size_not_tree_size(criterion, full_scale_tree):
 
         enc_a = st.encode(st.generate_synthetic(st.SyntheticTreeSpec(2500, 10, seed=2)))
         enc_b = st.encode(st.generate_synthetic(st.SyntheticTreeSpec(5000, 20, seed=3)))
-        rep_a = st.run_bench(enc_a, batch_size=40, reps=9, baseline_batch_size=0)
-        rep_b = st.run_bench(enc_b, batch_size=80, reps=9, baseline_batch_size=0)
+        rep_a = st.run_bench(enc_a, batch_size=40, reps=9)
+        rep_b = st.run_bench(enc_b, batch_size=80, reps=9)
         size_ratio = (80 * 20 * 5000) / (40 * 10 * 2500)  # 8x the elements
         time_ratio = rep_b.partition_ns / rep_a.partition_ns
         assert time_ratio <= 3.0 * size_ratio

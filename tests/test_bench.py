@@ -1,6 +1,5 @@
 """Benchmark harness: accounting formulas, timing fields, guard rails."""
 
-import numpy as np
 import pytest
 
 from semtree import (
@@ -33,27 +32,6 @@ class TestAccounting:
         assert bench.path_labels_bytes(100, 20) == 16_000
 
 
-class TestBaselines:
-    def test_partition_baseline_matches(self, small_encoding):
-        rng = np.random.default_rng(71)
-        scores = rng.standard_normal((3, 300), dtype=np.float32)
-        ref = np.array(
-            bench.partition_scores_baseline(small_encoding, scores),
-            dtype=np.float32,
-        )
-        from semtree import partition_scores
-
-        np.testing.assert_array_equal(ref, partition_scores(small_encoding, scores).data)
-
-    def test_map_labels_baseline_matches(self, small_encoding):
-        rng = np.random.default_rng(72)
-        labels = rng.integers(0, 300, size=20, dtype=np.int64)
-        ref = np.array(bench.map_labels_baseline(small_encoding, labels))
-        from semtree import map_labels
-
-        np.testing.assert_array_equal(ref, map_labels(small_encoding, labels).data)
-
-
 class TestRunBench:
     def test_report_fields(self, small_encoding):
         report = run_bench(small_encoding, batch_size=32, reps=3, seed=1)
@@ -66,27 +44,11 @@ class TestRunBench:
         assert report.encoding_bytes == 9 * 6 * 300
         assert report.partition_ns > 0
         assert report.map_labels_ns > 0
-        assert report.baseline_partition_ns > 0
-        assert report.baseline_map_labels_ns > 0
-        assert report.baseline_batch_size == 32
 
     def test_deterministic_inputs(self, small_encoding):
-        a = run_bench(small_encoding, 8, 3, seed=5, baseline_batch_size=0)
-        b = run_bench(small_encoding, 8, 3, seed=5, baseline_batch_size=0)
+        a = run_bench(small_encoding, 8, 3, seed=5)
+        b = run_bench(small_encoding, 8, 3, seed=5)
         assert a.scores_bytes == b.scores_bytes
-
-    def test_baselines_skipped(self, small_encoding):
-        report = run_bench(small_encoding, 8, 3, baseline_batch_size=0)
-        assert report.baseline_partition_ns is None
-        assert report.baseline_map_labels_ns is None
-
-    def test_baseline_batch_capped(self, small_encoding):
-        report = run_bench(small_encoding, 8, 3, baseline_batch_size=999)
-        assert report.baseline_batch_size == 8
-
-    def test_parallel_partition(self, small_encoding):
-        report = run_bench(small_encoding, 16, 3, baseline_batch_size=0, parallel=True)
-        assert report.parallel_partition_ns > 0
 
     def test_too_few_reps(self, small_encoding):
         with pytest.raises(ParameterError):
@@ -109,8 +71,7 @@ class TestRendering:
             assert needle in table
 
     def test_kv_is_machine_friendly(self, small_encoding):
-        report = run_bench(small_encoding, 8, 3, seed=2, baseline_batch_size=0)
+        report = run_bench(small_encoding, 8, 3, seed=2)
         lines = report.as_kv().splitlines()
         assert f"partitioned_bytes={report.partitioned_bytes}" in lines
         assert all("=" in line for line in lines)
-        assert not any("baseline_partition_ns" in line for line in lines)

@@ -238,7 +238,6 @@ class TestBench:
                     "--levels", "5",
                     "--batch", "16",
                     "--reps", "3",
-                    "--baseline-batch", "0",
                 ]
             )
             == 0
@@ -256,7 +255,6 @@ class TestBench:
                     "--levels", "4",
                     "--batch", "8",
                     "--reps", "3",
-                    "--baseline-batch", "0",
                     "--format", "kv",
                 ]
             )

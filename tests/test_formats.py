@@ -1,12 +1,20 @@
-"""Byte-exact golden files for the six binary formats.
+"""Byte-exact golden files for the six binary formats, and damaged copies.
 
 Each case writes the toy fixture and compares the file against bytes
 kept here, then reads those bytes back. A change to the container code
-that moves a single byte on disk fails here.
+that moves a single byte on disk fails here. The damaged copies check
+that a reader raises nothing but ``FormatError``, and that it refuses a
+huge declared size before allocating it.
 """
+
+import contextlib
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import semtree as st
 from helpers import TOY_PARENTS
@@ -131,3 +139,66 @@ def test_serialize_matches_golden_bytes():
     golden = bytes.fromhex(GOLDEN["encoding"])
     assert st.serialize(ENC) == golden
     assert st.deserialize(golden) == ENC
+
+
+@hs.composite
+def damaged_streams(draw):
+    """(format name, golden bytes truncated, extended or bit-flipped)."""
+    name = draw(hs.sampled_from(sorted(GOLDEN)))
+    data = bytearray.fromhex(GOLDEN[name])
+    how = draw(hs.sampled_from(("truncate", "extend", "flip")))
+    if how == "truncate":
+        del data[draw(hs.integers(0, len(data) - 1)) :]
+    elif how == "extend":
+        data += draw(hs.binary(min_size=1, max_size=64))
+    else:
+        for bit in draw(hs.lists(hs.integers(0, 8 * len(data) - 1), min_size=1)):
+            data[bit // 8] ^= 1 << (bit % 8)
+    return name, bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=damaged_streams())
+def test_damaged_streams_raise_only_format_error(case, fuzz_dir):
+    name, data = case
+    p = fuzz_dir / name
+    p.write_bytes(data)
+    reads = [lambda: CASES[name][1](p)]
+    if name == "encoding":
+        reads += [
+            lambda: fileio.read_encoding(p, check=False),
+            lambda: st.deserialize(data),
+            lambda: st.deserialize(data, check=False),
+        ]
+    for read in reads:
+        with contextlib.suppress(st.FormatError):
+            read()
+
+
+TOP = 2**32 - 1
+HUGE_HEADERS = {
+    "encoding": struct.pack("<4sHII", b"HTRE", 1, TOP, TOP),
+    "scores": struct.pack("<4sHII", b"HTSB", 1, TOP, TOP),
+    "path_labels": struct.pack("<4sHII", b"HTPL", 1, TOP, TOP),
+    "flat": struct.pack("<4sHIIBf", b"HTFT", 1, TOP, TOP, 0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_HEADERS))
+def test_huge_declared_size_is_refused_before_allocating(name, tmp_path):
+    p = tmp_path / name
+    p.write_bytes(HUGE_HEADERS[name].ljust(20, b"\0"))
+    assert p.stat().st_size == 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(st.FormatError, match="expected"):
+            CASES[name][1](p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

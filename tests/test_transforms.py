@@ -215,8 +215,8 @@ class TestFlatten:
         assert np.isnan(flatten_for_training(parts, paths).mask_value)
 
 
-def _flat_from(enc, scores, labels):
-    parts = partition_scores(enc, scores)
+def _flat_from(enc, scores, labels, mask_value=NEG_INF):
+    parts = partition_scores(enc, scores, mask_value=mask_value)
     return flatten_for_training(parts, map_labels(enc, labels))
 
 
@@ -262,14 +262,21 @@ class TestCrossEntropy:
         assert np.isfinite(cross_entropy(flat).value)
 
     def test_rejects_nan_masking(self, toy_encoding):
-        flat = _flat_from(toy_encoding, toy_scores(), TOY_LABELS_DISPLAY - 1)
+        labels = TOY_LABELS_DISPLAY - 1
+        flat = _flat_from(toy_encoding, toy_scores(), labels, mask_value=float("nan"))
         with pytest.raises(UnsupportedMaskValue):
-            cross_entropy(flat, mask_value=float("nan"))
+            cross_entropy(flat)
 
     def test_rejects_finite_masking(self, toy_encoding):
-        flat = _flat_from(toy_encoding, toy_scores(), TOY_LABELS_DISPLAY - 1)
-        with pytest.raises(UnsupportedMaskValue):
-            cross_entropy(flat, mask_value=-1e9)
+        # The set's own mask value decides; a 0.0 fill once gave a wrong
+        # loss with no error (2.5683 instead of 1.2495 on these scores).
+        scores = np.random.default_rng(0).standard_normal((5, 9))
+        for fill in (-1e9, 0.0):
+            flat = _flat_from(
+                toy_encoding, scores, TOY_LABELS_DISPLAY - 1, mask_value=fill
+            )
+            with pytest.raises(UnsupportedMaskValue):
+                cross_entropy(flat)
 
     def test_rejects_unknown_reduction(self, toy_encoding):
         flat = _flat_from(toy_encoding, toy_scores(), TOY_LABELS_DISPLAY - 1)

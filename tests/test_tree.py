@@ -21,6 +21,14 @@ class TestTaxonomy:
         with pytest.raises(st.ParameterError):
             st.Taxonomy(parents=np.array([-1, -2]))
 
+    def test_rejects_parent_that_wraps_in_int32(self):
+        with pytest.raises(st.ParameterError):
+            st.Taxonomy(parents=np.array([-1, 2**32]))
+
+    def test_rejects_non_integer_parents(self):
+        with pytest.raises(st.ParameterError):
+            st.Taxonomy(parents=np.array([-1, 0.5]))
+
     def test_rejects_matrix(self):
         with pytest.raises(st.ParameterError):
             st.Taxonomy(parents=np.zeros((2, 2), dtype=np.int32))
