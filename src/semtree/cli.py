@@ -112,9 +112,7 @@ def cmd_decode(args) -> int:
         values = [[p.score for p in sample] for sample in decoded]
     else:
         naive = naive_decode(probs)
-        decoded = levenshtein_decode(
-            enc, naive, args.k, probs=probs, exhaustive_limit=args.exhaustive_limit
-        )
+        decoded = levenshtein_decode(enc, naive, args.k, probs=probs)
         values = [[p.distance for p in sample] for sample in decoded]
     for i, sample in enumerate(decoded):
         for rank, path in enumerate(sample):
@@ -202,12 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--length-normalize",
         action="store_true",
         help="rank beam paths by mean instead of total log probability",
-    )
-    p.add_argument(
-        "--exhaustive-limit",
-        type=int,
-        default=1_000_000,
-        help="refuse levenshtein scans beyond this many sequence pairs",
     )
     p.set_defaults(func=cmd_decode)
 

@@ -14,6 +14,7 @@ Score and label files may also be CSV (picked by the ``.csv``
 extension) for small batches; the binary formats have no size cap.
 """
 
+import contextlib
 import io
 import math
 import os
@@ -155,13 +156,31 @@ def _read(stream, size: int, fmt: _Format) -> list:
     return arrays + tail
 
 
-def _write(stream, fmt: _Format, dims: tuple, arrays, mask_value=None) -> None:
-    mode = _mask_mode(mask_value) if fmt.masked else ()
-    stream.write(fmt.header.pack(fmt.magic, FORMAT_VERSION, *dims, *mode))
-    for spec, a in zip(fmt.layout(*dims), arrays):
-        stream.write(
-            np.ascontiguousarray(display_ids(a) if spec.ids else a, dtype=spec.dtype)
+def _write(dest, fmt: _Format, dims: tuple, arrays, mask_value=None) -> None:
+    """Write one container to a binary stream, or to a new file at a path.
+
+    Each array must have the shape the table gives for ``dims``. That is
+    checked before a file is opened, so a mismatch leaves no file behind.
+    """
+    if len(dims) != fmt.dims:
+        raise ShapeError(
+            f"{fmt.magic.decode()} payload array 1 has shape {tuple(dims)}, "
+            f"expected {fmt.dims} dimensions"
         )
+    specs = fmt.layout(*dims)
+    for i, (spec, a) in enumerate(zip(specs, arrays, strict=True)):
+        if np.shape(a) != spec.shape:
+            raise ShapeError(
+                f"{fmt.magic.decode()} payload array {i + 1} has shape "
+                f"{np.shape(a)}, expected {spec.shape}"
+            )
+    mode = _mask_mode(mask_value) if fmt.masked else ()
+    is_path = isinstance(dest, (str, os.PathLike))
+    with open(dest, "wb") if is_path else contextlib.nullcontext(dest) as stream:
+        stream.write(fmt.header.pack(fmt.magic, FORMAT_VERSION, *dims, *mode))
+        for spec, a in zip(specs, arrays):
+            a = display_ids(a) if spec.ids else a
+            stream.write(np.ascontiguousarray(a, dtype=spec.dtype))
 
 
 def _read_file(path: Pathish, decode, *args):
@@ -171,11 +190,6 @@ def _read_file(path: Pathish, decode, *args):
             return decode(f, os.fstat(f.fileno()).st_size, *args)
     except FormatError as e:
         raise FormatError(f"{path}: {e}") from None
-
-
-def _write_file(path: Pathish, fmt: _Format, dims, arrays, mask_value=None) -> None:
-    with open(path, "wb") as f:
-        _write(f, fmt, dims, arrays, mask_value)
 
 
 def _is_csv(path: Pathish) -> bool:
@@ -209,9 +223,9 @@ def _read_tree(stream, size: int, check: bool) -> TreeEncoding:
     return enc
 
 
-def _write_tree(stream, enc: TreeEncoding) -> None:
+def _write_tree(dest, enc: TreeEncoding) -> None:
     dims = (enc.num_classes, enc.num_levels)
-    _write(stream, _FORMATS["encoding"], dims, (enc.masks, enc.paths))
+    _write(dest, _FORMATS["encoding"], dims, (enc.masks, enc.paths))
 
 
 def serialize(enc: TreeEncoding) -> bytes:
@@ -231,8 +245,7 @@ def deserialize(data: bytes, check: bool = True) -> TreeEncoding:
 
 
 def write_encoding(enc: TreeEncoding, path: Pathish) -> None:
-    with open(path, "wb") as f:
-        _write_tree(f, enc)
+    _write_tree(path, enc)
 
 
 def read_encoding(path: Pathish, check: bool = True) -> TreeEncoding:
@@ -254,23 +267,39 @@ def write_scores(scores: np.ndarray, path: Pathish) -> None:
             )
         np.savetxt(path, scores.astype(np.float32), fmt="%.9g", delimiter=",")
         return
-    _write_file(path, _FORMATS["scores"], scores.shape, (scores,))
+    _write(path, _FORMATS["scores"], scores.shape, (scores,))
 
 
 def read_scores(path: Pathish) -> np.ndarray:
     if not _is_csv(path):
         (scores,) = _read_file(path, _read, _FORMATS["scores"])
         return scores
+    _check_csv_size(path)
     try:
-        scores = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
+        return np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from None
-    if scores.size > CSV_ELEMENT_CAP:
-        raise FormatError(
-            f"{path}: CSV holds at most {CSV_ELEMENT_CAP} scores, "
-            f"got {scores.size}; use the binary format"
-        )
-    return scores
+
+
+def _check_csv_size(path: Pathish) -> None:
+    """Refuse a score CSV beyond ``CSV_ELEMENT_CAP`` values before parsing it.
+
+    Counts the data lines (not blank, not a ``#`` comment, as ``loadtxt``
+    skips) times the first one's columns, one line in memory at a time.
+    """
+    rows = cols = 0
+    with open(path, "rb") as f:
+        for line in f:
+            data = line.split(b"#", 1)[0]
+            if data.strip():
+                cols = cols or data.count(b",") + 1
+                rows += 1
+                if rows * cols > CSV_ELEMENT_CAP:
+                    raise FormatError(
+                        f"{path}: CSV holds at most {CSV_ELEMENT_CAP} scores, "
+                        f"row {rows} of {cols} columns goes past it; "
+                        "use the binary format"
+                    )
 
 
 # -- flat labels -------------------------------------------------------------
@@ -285,7 +314,7 @@ def write_labels(labels: np.ndarray, path: Pathish) -> None:
     if _is_csv(path):
         np.savetxt(path, display_ids(labels), fmt="%d")
         return
-    _write_file(path, _FORMATS["labels"], labels.shape, (labels,))
+    _write(path, _FORMATS["labels"], labels.shape, (labels,))
 
 
 def read_labels(path: Pathish) -> np.ndarray:
@@ -306,7 +335,7 @@ def read_labels(path: Pathish) -> np.ndarray:
 
 def write_path_labels(path_labels: PathLabels, path: Pathish) -> None:
     data = path_labels.data
-    _write_file(path, _FORMATS["path labels"], data.shape, (data,))
+    _write(path, _FORMATS["path labels"], data.shape, (data,))
 
 
 def read_path_labels(path: Pathish) -> PathLabels:
@@ -319,7 +348,7 @@ def read_path_labels(path: Pathish) -> PathLabels:
 
 def write_partitioned(parts: PartitionedScores, path: Pathish) -> None:
     data = parts.data
-    _write_file(path, _FORMATS["partitioned"], data.shape, (data,), parts.mask_value)
+    _write(path, _FORMATS["partitioned"], data.shape, (data,), parts.mask_value)
 
 
 def read_partitioned(path: Pathish) -> PartitionedScores:
@@ -332,7 +361,7 @@ def read_partitioned(path: Pathish) -> PartitionedScores:
 
 def write_flat(flat: FlatTrainingSet, path: Pathish) -> None:
     arrays = (flat.rows, flat.labels, flat.origin)
-    _write_file(path, _FORMATS["flat"], flat.rows.shape, arrays, flat.mask_value)
+    _write(path, _FORMATS["flat"], flat.rows.shape, arrays, flat.mask_value)
 
 
 def read_flat(path: Pathish) -> FlatTrainingSet:

@@ -11,7 +11,9 @@ zero. On top of that sit three decoders:
   compete with full-depth ones. With ``k >= num_classes`` nothing is
   ever pruned and the result is the exhaustive ranking.
 * ``levenshtein_decode``: repairs a naive sequence by ranking every
-  valid ancestral path by edit distance to it.
+  valid ancestral path by edit distance to it. Each path extends its
+  parent's, so the edit-distance rows are shared along the tree and a
+  sample costs n * (L + 1) DP cells; there is no limit on the batch.
 
 Ties are broken in favor of the lexicographically smaller class
 sequence throughout, so all decoders are deterministic.
@@ -184,29 +186,53 @@ def levenshtein(a, b) -> int:
     return prev[len(b)]
 
 
-def _distances_to_all_paths(
-    seq: np.ndarray, paths: np.ndarray, widths: np.ndarray
-) -> np.ndarray:
-    """Edit distance from one sequence to every path row at once.
+def _scan_levels(
+    enc: TreeEncoding, naive: np.ndarray, probs: LevelProbabilities | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Every path's edit distance to each naive sequence, and its score.
 
-    Runs the standard DP with the candidate axis vectorized: each step
-    is an elementwise minimum over all rows, and each row's distance is
-    read off at its own width.
+    Returns the classes sorted by level, then the (b, n) distances and
+    joint log probabilities (None without ``probs``), whose columns
+    follow that order.
     """
-    n, L = paths.shape
-    m = seq.size
-    table = np.tile(np.arange(L + 1, dtype=np.int32), (n, 1))
-    for i in range(1, m + 1):
-        prev = table
-        table = np.empty_like(prev)
-        table[:, 0] = i
-        for j in range(1, L + 1):
-            cost = (paths[:, j - 1] != seq[i - 1]).astype(np.int32)
-            table[:, j] = np.minimum(
-                np.minimum(prev[:, j] + 1, table[:, j - 1] + 1),
-                prev[:, j - 1] + cost,
-            )
-    return table[np.arange(n), widths]
+    b, n, L = naive.shape[0], enc.num_classes, enc.num_levels
+    # Columns of dist and score hold the classes sorted by level, so each
+    # level is one slice; col maps a class back to its column.
+    order = np.argsort(enc.level_of, kind="stable")
+    starts = np.searchsorted(enc.level_of[order], np.arange(L + 1))
+    col = np.empty(n, dtype=np.intp)
+    col[order] = np.arange(n)
+    # A cell is an edit distance between sequences of at most L entries, so
+    # it never exceeds L, or L + 1 before a minimum.
+    dtype = np.int16 if L < np.iinfo(np.int16).max else np.int32
+    seq = naive.T[:, :, None]
+    dist = np.empty((b, n), dtype=dtype)
+    score = np.empty((b, n)) if probs is not None else None
+    # The empty path's row: i deletions from the first i naive entries.
+    rows = np.broadcast_to(np.arange(L + 1, dtype=dtype)[:, None, None], (L + 1, b, 1))
+    for d in range(L):
+        lo, hi = starts[d], starts[d + 1]
+        cls = order[lo:hi]
+        up = col[enc.paths[cls, d - 1]] if d else np.zeros(hi - lo, dtype=np.intp)
+        # rows[i, s, j]: distance from sample s's first i entries to path j.
+        prev = np.take(rows, up - (starts[d - 1] if d else 0), axis=2)
+        # The path's last class is an extra entry (prev[i] + 1) or stands
+        # against naive entry i (prev[i - 1] plus 1 on a mismatch).
+        cur = prev + 1
+        prev[:-1] += seq != cls
+        np.minimum(cur[1:], prev[:-1], out=cur[1:])
+        # The in-row chain cur[i] = min(cur[i], cur[i - 1] + 1), one position
+        # at a time: over this axis, minimum.accumulate runs ~20x slower.
+        for i in range(1, L + 1):
+            np.minimum(cur[i], cur[i - 1] + 1, out=cur[i])
+        rows = cur
+        dist[:, lo:hi] = cur[L]
+        if probs is not None:
+            # Parent's score plus this level's term: the beam's summation order.
+            with np.errstate(divide="ignore"):
+                lp = np.log(probs.data[:, d, cls].astype(np.float64))
+            score[:, lo:hi] = (score[:, up] if d else 0.0) + lp
+    return order, dist, score
 
 
 def levenshtein_decode(
@@ -215,15 +241,20 @@ def levenshtein_decode(
     k: int,
     *,
     probs: LevelProbabilities | None = None,
-    exhaustive_limit: int = 1_000_000,
 ) -> list[list[DecodedPath]]:
     """Top-k valid paths per sample by edit distance to a naive sequence.
 
     Every ancestral path in the encoding is a candidate; ties on
     distance fall back to higher joint log probability when ``probs``
-    is given, then to the lexicographically smaller sequence. The scan
-    touches batch * num_classes candidate pairs and refuses batches
-    beyond ``exhaustive_limit`` of them.
+    is given, then to the lexicographically smaller sequence.
+
+    A path is its parent's path plus one class, so a class's DP row
+    (edit distances from each prefix of the naive sequence to the path)
+    is its parent's row extended by one step, as in a trie. Rows are
+    computed level by level for the whole batch at once: n * (L + 1)
+    cells per sample, with only two levels of int16 rows alive. There
+    is no limit on the batch: besides those rows, the decoder holds a
+    few (batch, n) arrays.
     """
     if k < 1:
         raise ParameterError(f"k must be at least 1, got {k}")
@@ -233,53 +264,59 @@ def levenshtein_decode(
             f"naive sequences of shape {naive.shape} do not match "
             f"{enc.num_levels} levels"
         )
+    if not np.issubdtype(naive.dtype, np.integer):
+        raise ShapeError(f"naive sequences must be integers, got dtype {naive.dtype}")
     bad = (naive < 0) | (naive >= enc.num_classes)
     if bad.any():
         i = int(np.argwhere(bad)[0][0])
         raise LabelError(i, int(naive[i][np.argmax(bad[i])]), enc.num_classes)
     b = naive.shape[0]
-    pairs = b * enc.num_classes
-    if pairs > exhaustive_limit:
-        raise ParameterError(
-            f"{pairs} sequence pairs exceed the exhaustive scan limit of "
-            f"{exhaustive_limit}"
-        )
     if probs is not None and probs.data.shape != (b, enc.num_levels, enc.num_classes):
         raise ShapeError(
             f"probabilities of shape {probs.data.shape} do not match "
             f"{b} naive sequences over this encoding"
         )
 
-    n, L = enc.num_classes, enc.num_levels
-    widths = (enc.level_of + 1).astype(np.intp)
-    real = np.arange(L)[None, :] < widths[:, None]
-    if probs is not None:
-        with np.errstate(divide="ignore"):
-            logp = np.log(probs.data.astype(np.float64))
+    n = enc.num_classes
+    order, dist, score = _scan_levels(enc, naive, probs)
 
+    # Rank by (distance, key, path); key is -score, or the path's rank among
+    # all paths in lexicographic order when there are no scores.
+    if probs is not None:
+        key = -score
+    else:
+        lex = np.empty(n, dtype=np.intp)
+        lex[np.lexsort(enc.paths.T[::-1])] = np.arange(n)
+        key = np.broadcast_to(lex[order], (b, n))
+    # Keep the paths closer than the k-th distance, and of those at it, every
+    # one whose key is no worse than the one that fills the k-th place: with
+    # the closer ones first, that key is the k-th smallest.
+    k = min(k, n)
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    closer = dist < kth
+    at = dist == kth
+    tied = np.where(at, key, np.inf)
+    tied[closer] = -np.inf
+    tied.partition(k - 1, axis=1)
+    keep = closer | (at & ~(key > tied[:, k - 1 : k]))
+    s, c = np.nonzero(keep)
+    classes = order[c]
+    ranked = np.lexsort((*enc.paths[classes].T[::-1], key[s, c], dist[s, c], s))
+    first = np.searchsorted(s, np.arange(b))
+    top = ranked[first[:, None] + np.arange(k)]
+
+    widths = enc.level_of + 1
     results: list[list[DecodedPath]] = []
-    for i in range(b):
-        dist = _distances_to_all_paths(naive[i], enc.paths, widths)
-        keys = [enc.paths[:, j] for j in range(L - 1, -1, -1)]
-        if probs is not None:
-            # Accumulate level by level so scores match beam decoding bit
-            # for bit.
-            score = np.zeros(n, dtype=np.float64)
-            for d in range(L):
-                on = real[:, d]
-                score[on] += logp[i, d, enc.paths[on, d]]
-            keys.append(-score)
-        keys.append(dist)
-        order = np.lexsort(keys)[:k]
-        ranked = []
-        for c in order:
-            classes = tuple(int(x) for x in enc.paths[c, : widths[c]])
-            ranked.append(
+    for picks in top.tolist():
+        ranked_paths = []
+        for j in picks:
+            cls = classes[j]
+            ranked_paths.append(
                 DecodedPath(
-                    classes=classes,
-                    score=float(score[c]) if probs is not None else None,
-                    distance=int(dist[c]),
+                    classes=tuple(enc.paths[cls, : widths[cls]].tolist()),
+                    score=float(score[s[j], c[j]]) if probs is not None else None,
+                    distance=int(dist[s[j], c[j]]),
                 )
             )
-        results.append(ranked)
+        results.append(ranked_paths)
     return results

@@ -186,23 +186,6 @@ class TestDecode:
         )
         assert capsys.readouterr().out
 
-    def test_exhaustive_limit(self, encoding_file, scores_file, capsys):
-        assert (
-            main(
-                [
-                    "decode",
-                    str(encoding_file),
-                    str(scores_file),
-                    "--method",
-                    "levenshtein",
-                    "--exhaustive-limit",
-                    "3",
-                ]
-            )
-            == 1
-        )
-        assert "limit" in capsys.readouterr().err
-
 
 class TestValidate:
     def test_valid_file(self, encoding_file, capsys):

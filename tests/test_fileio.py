@@ -1,14 +1,17 @@
 """Round trips and corruption handling for every file format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import TOY_PARENTS
 from semtree import (
+    FlatTrainingSet,
     FormatError,
     NEG_INF,
+    PathLabels,
     ShapeError,
     Taxonomy,
     encode,
@@ -74,8 +77,20 @@ class TestScoreFiles:
     def test_csv_cap_on_read(self, tmp_path):
         p = tmp_path / "big.csv"
         np.savetxt(p, np.zeros((2, 500_001)), fmt="%d", delimiter=",")
-        with pytest.raises(FormatError, match="binary"):
-            fileio.read_scores(p)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="binary"):
+                fileio.read_scores(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Parsing both rows peaks near 18 MB; the refusal holds one line of text.
+        assert peak < 6 << 20
+
+    def test_csv_skips_blank_and_comment_lines(self, tmp_path):
+        p = tmp_path / "notes.csv"
+        p.write_text("# two samples\n1.5,2\n\n3,4  # last\n")
+        np.testing.assert_array_equal(fileio.read_scores(p), [[1.5, 2], [3, 4]])
 
     def test_csv_malformed(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -146,6 +161,12 @@ class TestPathLabelFiles:
         fileio.write_path_labels(paths, p)
         np.testing.assert_array_equal(fileio.read_path_labels(p).data, [[0, -1, -1]])
 
+    def test_wrong_rank_leaves_no_file(self, tmp_path):
+        p = tmp_path / "paths.bin"
+        with pytest.raises(ShapeError, match="dimensions"):
+            fileio.write_path_labels(PathLabels(data=np.zeros(3, dtype=np.int64)), p)
+        assert not p.exists()
+
     def test_zero_entry_rejected(self, tmp_path):
         p = tmp_path / "paths.bin"
         with open(p, "wb") as f:
@@ -213,6 +234,17 @@ class TestFlatFiles:
         np.testing.assert_array_equal(got.labels, flat.labels)
         np.testing.assert_array_equal(got.origin, flat.origin)
         assert got.mask_value == NEG_INF
+
+    def test_mismatched_arrays_leave_no_file(self, tmp_path):
+        flat = FlatTrainingSet(
+            rows=np.zeros((2, 9), dtype=np.float32),
+            labels=np.array([1, 2, 3]),
+            origin=np.zeros((2, 2), dtype=np.int64),
+        )
+        p = tmp_path / "flat.bin"
+        with pytest.raises(ShapeError, match="shape"):
+            fileio.write_flat(flat, p)
+        assert not p.exists()
 
     def test_labels_stored_one_based(self, enc, scores, tmp_path):
         parts = partition_scores(enc, scores[:1])

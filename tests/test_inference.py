@@ -12,9 +12,11 @@ from semtree import (
     ParameterError,
     PartitionedScores,
     ShapeError,
+    SyntheticTreeSpec,
     UnsupportedMaskValue,
     beam_decode,
     encode,
+    generate_synthetic,
     levenshtein,
     levenshtein_decode,
     naive_decode,
@@ -26,6 +28,17 @@ from semtree import (
 def random_probs(rng, enc, batch=3):
     scores = rng.standard_normal((batch, enc.num_classes), dtype=np.float32)
     return softmax_levels(partition_scores(enc, scores))
+
+
+def tied_probs(rng, enc, batch=3):
+    """Probabilities from scores 0 or 1, so that many path scores tie exactly."""
+    scores = rng.integers(0, 2, size=(batch, enc.num_classes)).astype(np.float32)
+    return softmax_levels(partition_scores(enc, scores))
+
+
+def log_probs(probs):
+    with np.errstate(divide="ignore"):
+        return np.log(probs.data.astype(np.float64))
 
 
 class TestSoftmaxLevels:
@@ -162,6 +175,23 @@ class TestBeamDecode:
             want = oracles.exhaustive_ranking(tax.parents, logp[0], k=1)[0]
             assert top.classes == want[1]
 
+    def test_small_width_equals_exhaustive_top_k(self):
+        # Log probabilities are at most 0, so every ancestor of a top-k path
+        # is in the top k of its own level and the beam never prunes it.
+        rng = np.random.default_rng(48)
+        straddled = 0
+        for _ in range(100):
+            tax = random_taxonomy(rng, max_classes=50, max_depth=5)
+            enc = encode(tax)
+            probs = tied_probs(rng, enc, batch=2)
+            logp = log_probs(probs)
+            k = int(rng.integers(1, 8))
+            for i, sample in enumerate(beam_decode(enc, probs, k=k)):
+                want = oracles.exhaustive_ranking(tax.parents, logp[i], k=k + 1)
+                assert [(h.score, h.classes) for h in sample] == want[:k]
+                straddled += len(want) > k and want[k][0] == want[k - 1][0]
+        assert straddled  # some score ties cross the k-th place
+
     def test_length_normalization_changes_ranking_rule(self):
         rng = np.random.default_rng(39)
         tax = random_taxonomy(rng, max_classes=50, max_depth=5)
@@ -249,6 +279,54 @@ class TestLevenshteinDecode:
                 got = [(h.distance, h.score, h.classes) for h in sample]
                 assert got == want
 
+    def test_small_k_matches_scan(self):
+        rng = np.random.default_rng(46)
+        straddled = {False: 0, True: 0}
+        for trial in range(100):
+            tax = random_taxonomy(rng, max_classes=40, max_depth=5)
+            enc = encode(tax)
+            if trial % 2:
+                probs = tied_probs(rng, enc)
+                naive = naive_decode(probs)
+            else:
+                probs = random_probs(rng, enc)
+                naive = rng.integers(0, enc.num_classes, size=(3, enc.num_levels))
+            logp = log_probs(probs)
+            k = int(rng.integers(1, 8))
+            for with_probs in (False, True):
+                decoded = levenshtein_decode(
+                    enc, naive, k=k, probs=probs if with_probs else None
+                )
+                for i, sample in enumerate(decoded):
+                    want = oracles.nearest_paths(
+                        tax.parents,
+                        naive[i].tolist(),
+                        k=k + 1,
+                        logp=logp[i] if with_probs else None,
+                    )
+                    if with_probs:
+                        got = [(h.distance, h.score, h.classes) for h in sample]
+                    else:
+                        got = [(h.distance, h.classes) for h in sample]
+                    assert got == want[:k]
+                    # A tie on everything but the path crosses the k-th place.
+                    tie = len(want) > k and want[k][:-1] == want[k - 1][:-1]
+                    straddled[with_probs] += tie
+        assert all(straddled.values())
+
+    def test_no_batch_limit(self):
+        # 128 samples over 10,000 classes: 1.28M sequence pairs.
+        enc = encode(generate_synthetic(SyntheticTreeSpec(10_000, 8, seed=0)))
+        rng = np.random.default_rng(47)
+        probs = random_probs(rng, enc, batch=128)
+        naive = naive_decode(probs)
+        decoded = levenshtein_decode(enc, naive, k=3, probs=probs)
+        assert len(decoded) == 128
+        for i, sample in enumerate(decoded):
+            alone = LevelProbabilities(data=probs.data[i : i + 1])
+            (want,) = levenshtein_decode(enc, naive[i : i + 1], 3, probs=alone)
+            assert sample == want
+
     def test_distances_verified_per_path(self, toy_encoding):
         rng = np.random.default_rng(45)
         probs = random_probs(rng, toy_encoding, batch=3)
@@ -281,7 +359,7 @@ class TestLevenshteinDecode:
         with pytest.raises(LabelError):
             levenshtein_decode(toy_encoding, naive, k=1)
 
-    def test_scan_limit(self, toy_encoding):
-        naive = np.zeros((3, 3), dtype=np.int64)
-        with pytest.raises(ParameterError, match="limit"):
-            levenshtein_decode(toy_encoding, naive, k=1, exhaustive_limit=10)
+    def test_non_integer_entries(self, toy_encoding):
+        naive = np.array([[0.5, 3.0, 6.0]])
+        with pytest.raises(ShapeError, match="integers"):
+            levenshtein_decode(toy_encoding, naive, k=1)
