@@ -18,6 +18,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import struct
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -260,11 +261,7 @@ def write_scores(scores: np.ndarray, path: Pathish) -> None:
     if scores.ndim != 2:
         raise ShapeError(f"scores must be 2-d, got shape {scores.shape}")
     if _is_csv(path):
-        if scores.size > CSV_ELEMENT_CAP:
-            raise FormatError(
-                f"CSV holds at most {CSV_ELEMENT_CAP} scores, "
-                f"got {scores.size}; use the binary format"
-            )
+        _csv_cap(scores.size, "scores")
         np.savetxt(path, scores.astype(np.float32), fmt="%.9g", delimiter=",")
         return
     _write(path, _FORMATS["scores"], scores.shape, (scores,))
@@ -274,32 +271,36 @@ def read_scores(path: Pathish) -> np.ndarray:
     if not _is_csv(path):
         (scores,) = _read_file(path, _read, _FORMATS["scores"])
         return scores
-    _check_csv_size(path)
+    _check_csv_size(path, "scores", lambda line: line.count(b",") + 1)
     try:
         return np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from None
 
 
-def _check_csv_size(path: Pathish) -> None:
-    """Refuse a score CSV beyond ``CSV_ELEMENT_CAP`` values before parsing it.
+def _csv_cap(size: int, noun: str, where: str = "") -> None:
+    if size > CSV_ELEMENT_CAP:
+        raise FormatError(
+            f"{where}CSV holds at most {CSV_ELEMENT_CAP} {noun}, count reached "
+            f"{size}; use the binary format"
+        )
+
+
+def _check_csv_size(path: Pathish, noun: str, fields: Callable[[bytes], int]) -> None:
+    """Refuse a CSV beyond ``CSV_ELEMENT_CAP`` values before parsing it.
 
     Counts the data lines (not blank, not a ``#`` comment, as ``loadtxt``
-    skips) times the first one's columns, one line in memory at a time.
+    skips) times the first one's ``fields``, counted the way the caller's
+    ``loadtxt`` splits a line, one line in memory at a time.
     """
     rows = cols = 0
     with open(path, "rb") as f:
         for line in f:
             data = line.split(b"#", 1)[0]
             if data.strip():
-                cols = cols or data.count(b",") + 1
+                cols = cols or fields(data)
                 rows += 1
-                if rows * cols > CSV_ELEMENT_CAP:
-                    raise FormatError(
-                        f"{path}: CSV holds at most {CSV_ELEMENT_CAP} scores, "
-                        f"row {rows} of {cols} columns goes past it; "
-                        "use the binary format"
-                    )
+                _csv_cap(rows * cols, noun, f"{path}: ")
 
 
 # -- flat labels -------------------------------------------------------------
@@ -312,6 +313,7 @@ def write_labels(labels: np.ndarray, path: Pathish) -> None:
     if (labels < 0).any():
         raise ShapeError("labels must be non-negative class ids")
     if _is_csv(path):
+        _csv_cap(labels.size, "labels")
         np.savetxt(path, display_ids(labels), fmt="%d")
         return
     _write(path, _FORMATS["labels"], labels.shape, (labels,))
@@ -321,6 +323,7 @@ def read_labels(path: Pathish) -> np.ndarray:
     if not _is_csv(path):
         (labels,) = _read_file(path, _read, _FORMATS["labels"])
         return labels
+    _check_csv_size(path, "labels", lambda line: re.subn(rb"\S+", b"", line)[1])
     try:
         labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
         (spec,) = _FORMATS["labels"].layout(labels.size)

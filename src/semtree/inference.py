@@ -6,17 +6,17 @@ zero. On top of that sit three decoders:
 
 * ``naive_decode``: per-level argmax, ignores tree structure entirely,
   so the levels of one sample may disagree on the branch taken.
-* ``beam_decode``: walks root to leaf keeping the ``k`` best partial
-  paths; every visited node is a candidate endpoint, so shorter paths
-  compete with full-depth ones. With ``k >= num_classes`` nothing is
-  ever pruned and the result is the exhaustive ranking.
+* ``beam_decode``: ranks every valid root-to-node path by its joint
+  log probability, or by its mean with ``length_normalize``, and
+  returns the exact top k.
 * ``levenshtein_decode``: repairs a naive sequence by ranking every
   valid ancestral path by edit distance to it. Each path extends its
   parent's, so the edit-distance rows are shared along the tree and a
   sample costs n * (L + 1) DP cells; there is no limit on the batch.
 
-Ties are broken in favor of the lexicographically smaller class
-sequence throughout, so all decoders are deterministic.
+Both path decoders fill (batch, n) arrays level by level, each path's
+entry from its parent's, and share one top-k routine. Ties go to the
+lexicographically smaller class sequence, so all are deterministic.
 """
 
 from dataclasses import dataclass
@@ -61,9 +61,10 @@ class LevelProbabilities:
 class DecodedPath:
     """One ranked prediction: a root-to-node class sequence.
 
-    ``score`` is the sum of per-level log probabilities (beam decoding),
-    ``distance`` the edit distance to the naive sequence (levenshtein
-    decoding); each decoder fills only its own field.
+    ``score`` is the sum of per-level log probabilities (filled by
+    ``beam_decode``, and by ``levenshtein_decode`` when given ``probs``);
+    ``distance`` is the edit distance to the naive sequence (filled by
+    ``levenshtein_decode`` only). A field not computed stays None.
     """
 
     classes: tuple[int, ...]
@@ -106,14 +107,99 @@ def naive_decode(probs: LevelProbabilities) -> np.ndarray:
     return np.argmax(probs.data, axis=2).astype(np.int64)
 
 
-def _children_lists(enc: TreeEncoding) -> list[list[int]]:
-    parents = recover_parents(enc)
-    children: list[list[int]] = [[] for _ in range(enc.num_classes)]
-    for c in np.argsort(parents, kind="stable"):
-        p = parents[c]
-        if p >= 0:
-            children[p].append(int(c))
-    return children
+def _layout(enc: TreeEncoding) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns of the decoders' (batch, n) arrays: the classes sorted by level.
+
+    Returns that order, where each level starts in it (L + 1 entries),
+    and each column's parent column, -1 for roots. Every level is then
+    one slice whose parents lie in the slice before.
+    """
+    order = np.argsort(enc.level_of, kind="stable")
+    starts = np.searchsorted(enc.level_of[order], np.arange(enc.num_levels + 1))
+    # One extra slot maps NO_PARENT (-1) to column -1.
+    col = np.full(enc.num_classes + 1, -1, dtype=np.intp)
+    col[order] = np.arange(enc.num_classes)
+    return order, starts, col[recover_parents(enc)[order]]
+
+
+def _path_scores(
+    enc: TreeEncoding, probs: LevelProbabilities, batch: tuple, order, starts, up
+) -> np.ndarray:
+    """Every path's joint log probability, (batch, n) in layout order.
+
+    score[:, c] = score[:, parent(c)] + log p[:, level(c), c], level by
+    level: the summation order of a root-to-leaf walk. ``probs`` must
+    have shape ``batch + (L, n)``. Only the n own-level probabilities
+    per sample are gathered and logged; one that is NaN or outside
+    [0, 1] raises ``ParameterError``.
+    """
+    want = batch + (enc.num_levels, enc.num_classes)
+    if probs.data.shape != want:
+        raise ShapeError(
+            f"probabilities of shape {probs.data.shape} do not match "
+            f"{want} (samples, levels, classes)"
+        )
+    levels = enc.level_of[order].astype(np.intp)
+    # One flat gather gives contiguous rows, which np.partition needs to run
+    # fast (over strided rows it is ~7x slower).
+    flat = probs.data.reshape(want[0], enc.num_levels * enc.num_classes)
+    p = np.take(flat, levels * enc.num_classes + order, axis=1)
+    bad = ~((p >= 0) & (p <= 1))
+    if bad.any():
+        s, j = (int(x) for x in np.argwhere(bad)[0])
+        raise ParameterError(
+            f"sample {s}, level {levels[j] + 1}, class {order[j] + 1}: "
+            f"probability {p[s, j]} is outside [0, 1]"
+        )
+    with np.errstate(divide="ignore"):
+        score = np.log(p.astype(np.float64))
+    for d in range(1, enc.num_levels):
+        lo, hi = starts[d], starts[d + 1]
+        score[:, lo:hi] += np.take(score, up[lo:hi], axis=1)
+    return score
+
+
+def _ranked(
+    enc: TreeEncoding, order, primary, key, k: int, score=None, dist=None
+) -> list[list[DecodedPath]]:
+    """Each sample's k paths smallest by (primary, key, path), best first.
+
+    ``primary`` and ``key`` are (batch, n) in layout order; a None key
+    is the path's rank among all paths in lexicographic order. ``score``
+    and ``dist`` (same layout) fill the fields of the same name.
+    """
+    b, n = primary.shape
+    if key is None:
+        lex = np.empty(n, dtype=np.intp)
+        lex[np.lexsort(enc.paths.T[::-1])] = np.arange(n)
+        key = np.broadcast_to(lex[order], (b, n))
+    # Keep the paths ahead of the k-th primary value, and of those at it, every
+    # one whose key is no worse than the one that fills the k-th place: with
+    # the ones ahead first, that key is the k-th smallest.
+    k = min(k, n)
+    kth = np.partition(primary, k - 1, axis=1)[:, k - 1 : k]
+    ahead = primary < kth
+    at = primary == kth
+    tied = np.where(at, key, np.inf)
+    tied[ahead] = -np.inf
+    tied.partition(k - 1, axis=1)
+    keep = ahead | (at & ~(key > tied[:, k - 1 : k]))
+    s, c = np.nonzero(keep)
+    classes = order[c]
+    ranked = np.lexsort((*enc.paths[classes].T[::-1], key[s, c], primary[s, c], s))
+    top = ranked[np.searchsorted(s, np.arange(b))[:, None] + np.arange(k)]
+    s, c, classes = s[top], c[top], classes[top]
+    blank = np.full((b, k), None)
+    samples = zip(
+        enc.paths[classes].tolist(),
+        (enc.level_of[classes] + 1).tolist(),
+        (blank if score is None else score[s, c]).tolist(),
+        (blank if dist is None else dist[s, c]).tolist(),
+    )
+    return [
+        [DecodedPath(tuple(p[:w]), sc, d) for p, w, sc, d in zip(*sample)]
+        for sample in samples
+    ]
 
 
 def beam_decode(
@@ -126,50 +212,21 @@ def beam_decode(
     """Top-k valid paths per sample by joint per-level log probability.
 
     A path's score is the sum of the log probabilities of its classes,
-    each taken from the level slice of that class's depth; it is not
-    normalized by length unless ``length_normalize`` is set. Every node
-    reached by the beam counts as a candidate endpoint.
+    each taken from the level slice of that class's depth; every class
+    ends one candidate path. All n paths are ranked, by score or, with
+    ``length_normalize``, by score / length, so the top k is exact
+    either way. Unnormalized, it is what a width-k beam keeps: log
+    probabilities are at most 0, so every ancestor of a top-k path is
+    in the top k of its own level.
     """
     if k < 1:
         raise ParameterError(f"beam width must be at least 1, got {k}")
-    if probs.data.ndim != 3 or probs.data.shape[1:] != (
-        enc.num_levels,
-        enc.num_classes,
-    ):
-        raise ShapeError(
-            f"probabilities of shape {probs.data.shape} do not match an "
-            f"encoding with {enc.num_classes} classes and "
-            f"{enc.num_levels} levels"
-        )
-    children = _children_lists(enc)
-    roots = [int(c) for c in np.nonzero(enc.level_of == 0)[0]]
-    with np.errstate(divide="ignore"):
-        logp = np.log(probs.data.astype(np.float64))
-
-    results: list[list[DecodedPath]] = []
-    for i in range(probs.batch_size):
-        lp = logp[i]
-        live = [(float(lp[0, r]), (r,)) for r in roots]
-        pool = list(live)
-        for level in range(1, enc.num_levels):
-            if not live:
-                break
-            live.sort(key=lambda h: (-h[0], h[1]))
-            del live[k:]
-            grown = []
-            for score, classes in live:
-                for child in children[classes[-1]]:
-                    grown.append((score + float(lp[level, child]), classes + (child,)))
-            pool.extend(grown)
-            live = grown
-        if length_normalize:
-            pool.sort(key=lambda h: (-h[0] / len(h[1]), h[1]))
-        else:
-            pool.sort(key=lambda h: (-h[0], h[1]))
-        results.append(
-            [DecodedPath(classes=classes, score=score) for score, classes in pool[:k]]
-        )
-    return results
+    order, starts, up = _layout(enc)
+    score = _path_scores(enc, probs, probs.data.shape[:1], order, starts, up)
+    primary = -score
+    if length_normalize:
+        primary /= enc.level_of[order] + 1
+    return _ranked(enc, order, primary, None, k, score=score)
 
 
 def levenshtein(a, b) -> int:
@@ -186,36 +243,22 @@ def levenshtein(a, b) -> int:
     return prev[len(b)]
 
 
-def _scan_levels(
-    enc: TreeEncoding, naive: np.ndarray, probs: LevelProbabilities | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Every path's edit distance to each naive sequence, and its score.
-
-    Returns the classes sorted by level, then the (b, n) distances and
-    joint log probabilities (None without ``probs``), whose columns
-    follow that order.
-    """
-    b, n, L = naive.shape[0], enc.num_classes, enc.num_levels
-    # Columns of dist and score hold the classes sorted by level, so each
-    # level is one slice; col maps a class back to its column.
-    order = np.argsort(enc.level_of, kind="stable")
-    starts = np.searchsorted(enc.level_of[order], np.arange(L + 1))
-    col = np.empty(n, dtype=np.intp)
-    col[order] = np.arange(n)
+def _scan_levels(enc: TreeEncoding, naive: np.ndarray, order, starts, up) -> np.ndarray:
+    """Every path's edit distance to each naive sequence, (batch, n) in layout order."""
+    b, L = naive.shape
     # A cell is an edit distance between sequences of at most L entries, so
     # it never exceeds L, or L + 1 before a minimum.
     dtype = np.int16 if L < np.iinfo(np.int16).max else np.int32
     seq = naive.T[:, :, None]
-    dist = np.empty((b, n), dtype=dtype)
-    score = np.empty((b, n)) if probs is not None else None
-    # The empty path's row: i deletions from the first i naive entries.
+    dist = np.empty((b, enc.num_classes), dtype=dtype)
+    # The empty path's row, at column -1 (the roots' parent): i deletions
+    # from the first i naive entries.
     rows = np.broadcast_to(np.arange(L + 1, dtype=dtype)[:, None, None], (L + 1, b, 1))
     for d in range(L):
         lo, hi = starts[d], starts[d + 1]
         cls = order[lo:hi]
-        up = col[enc.paths[cls, d - 1]] if d else np.zeros(hi - lo, dtype=np.intp)
         # rows[i, s, j]: distance from sample s's first i entries to path j.
-        prev = np.take(rows, up - (starts[d - 1] if d else 0), axis=2)
+        prev = np.take(rows, up[lo:hi] - (starts[d - 1] if d else -1), axis=2)
         # The path's last class is an extra entry (prev[i] + 1) or stands
         # against naive entry i (prev[i - 1] plus 1 on a mismatch).
         cur = prev + 1
@@ -227,12 +270,7 @@ def _scan_levels(
             np.minimum(cur[i], cur[i - 1] + 1, out=cur[i])
         rows = cur
         dist[:, lo:hi] = cur[L]
-        if probs is not None:
-            # Parent's score plus this level's term: the beam's summation order.
-            with np.errstate(divide="ignore"):
-                lp = np.log(probs.data[:, d, cls].astype(np.float64))
-            score[:, lo:hi] = (score[:, up] if d else 0.0) + lp
-    return order, dist, score
+    return dist
 
 
 def levenshtein_decode(
@@ -270,53 +308,10 @@ def levenshtein_decode(
     if bad.any():
         i = int(np.argwhere(bad)[0][0])
         raise LabelError(i, int(naive[i][np.argmax(bad[i])]), enc.num_classes)
-    b = naive.shape[0]
-    if probs is not None and probs.data.shape != (b, enc.num_levels, enc.num_classes):
-        raise ShapeError(
-            f"probabilities of shape {probs.data.shape} do not match "
-            f"{b} naive sequences over this encoding"
-        )
-
-    n = enc.num_classes
-    order, dist, score = _scan_levels(enc, naive, probs)
-
-    # Rank by (distance, key, path); key is -score, or the path's rank among
-    # all paths in lexicographic order when there are no scores.
-    if probs is not None:
-        key = -score
-    else:
-        lex = np.empty(n, dtype=np.intp)
-        lex[np.lexsort(enc.paths.T[::-1])] = np.arange(n)
-        key = np.broadcast_to(lex[order], (b, n))
-    # Keep the paths closer than the k-th distance, and of those at it, every
-    # one whose key is no worse than the one that fills the k-th place: with
-    # the closer ones first, that key is the k-th smallest.
-    k = min(k, n)
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-    closer = dist < kth
-    at = dist == kth
-    tied = np.where(at, key, np.inf)
-    tied[closer] = -np.inf
-    tied.partition(k - 1, axis=1)
-    keep = closer | (at & ~(key > tied[:, k - 1 : k]))
-    s, c = np.nonzero(keep)
-    classes = order[c]
-    ranked = np.lexsort((*enc.paths[classes].T[::-1], key[s, c], dist[s, c], s))
-    first = np.searchsorted(s, np.arange(b))
-    top = ranked[first[:, None] + np.arange(k)]
-
-    widths = enc.level_of + 1
-    results: list[list[DecodedPath]] = []
-    for picks in top.tolist():
-        ranked_paths = []
-        for j in picks:
-            cls = classes[j]
-            ranked_paths.append(
-                DecodedPath(
-                    classes=tuple(enc.paths[cls, : widths[cls]].tolist()),
-                    score=float(score[s[j], c[j]]) if probs is not None else None,
-                    distance=int(dist[s[j], c[j]]),
-                )
-            )
-        results.append(ranked_paths)
-    return results
+    order, starts, up = _layout(enc)
+    if probs is None:
+        dist = _scan_levels(enc, naive, order, starts, up)
+        return _ranked(enc, order, dist, None, k, dist=dist)
+    score = _path_scores(enc, probs, naive.shape[:1], order, starts, up)
+    dist = _scan_levels(enc, naive, order, starts, up)
+    return _ranked(enc, order, dist, -score, k, score=score, dist=dist)

@@ -22,6 +22,11 @@ from semtree import (
 from semtree import fileio
 
 
+# Shapes one element over fileio.CSV_ELEMENT_CAP: two wide score rows, or
+# one label per line.
+OVER_CSV_CAP = {"scores": (2, 500_001), "labels": (1_000_001,)}
+
+
 @pytest.fixture
 def enc():
     return encode(Taxonomy(parents=TOY_PARENTS))
@@ -69,22 +74,25 @@ class TestScoreFiles:
         got = fileio.read_scores(p)
         assert got.shape == (1, 3)
 
-    def test_csv_cap_on_write(self, tmp_path):
-        big = np.zeros((2, 500_001), dtype=np.float32)
-        with pytest.raises(FormatError, match="binary"):
-            fileio.write_scores(big, tmp_path / "big.csv")
+    @pytest.mark.parametrize("kind", ["scores", "labels"])
+    def test_csv_cap_on_write(self, kind, tmp_path):
+        big = np.zeros(OVER_CSV_CAP[kind], dtype=np.int64)
+        with pytest.raises(FormatError, match=f"{kind}.*binary"):
+            getattr(fileio, f"write_{kind}")(big, tmp_path / "big.csv")
 
-    def test_csv_cap_on_read(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["scores", "labels"])
+    def test_csv_cap_on_read(self, kind, tmp_path):
         p = tmp_path / "big.csv"
-        np.savetxt(p, np.zeros((2, 500_001)), fmt="%d", delimiter=",")
+        np.savetxt(p, np.ones(OVER_CSV_CAP[kind]), fmt="%d", delimiter=",")
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError, match="binary"):
-                fileio.read_scores(p)
+            with pytest.raises(FormatError, match=f"{kind}.*binary"):
+                getattr(fileio, f"read_{kind}")(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Parsing both rows peaks near 18 MB; the refusal holds one line of text.
+        # Parsing either file peaks near 18 MB or more; the refusal holds one
+        # line of text.
         assert peak < 6 << 20
 
     def test_csv_skips_blank_and_comment_lines(self, tmp_path):

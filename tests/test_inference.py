@@ -177,20 +177,28 @@ class TestBeamDecode:
 
     def test_small_width_equals_exhaustive_top_k(self):
         # Log probabilities are at most 0, so every ancestor of a top-k path
-        # is in the top k of its own level and the beam never prunes it.
+        # is in the top k of its own level and a width-k beam never prunes
+        # it. The mean is not monotone that way, so it needs every path.
         rng = np.random.default_rng(48)
-        straddled = 0
+        straddled = {False: 0, True: 0}
         for _ in range(100):
             tax = random_taxonomy(rng, max_classes=50, max_depth=5)
             enc = encode(tax)
             probs = tied_probs(rng, enc, batch=2)
             logp = log_probs(probs)
             k = int(rng.integers(1, 8))
-            for i, sample in enumerate(beam_decode(enc, probs, k=k)):
-                want = oracles.exhaustive_ranking(tax.parents, logp[i], k=k + 1)
-                assert [(h.score, h.classes) for h in sample] == want[:k]
-                straddled += len(want) > k and want[k][0] == want[k - 1][0]
-        assert straddled  # some score ties cross the k-th place
+            for norm in (False, True):
+                decoded = beam_decode(enc, probs, k=k, length_normalize=norm)
+                for i, sample in enumerate(decoded):
+                    want = oracles.exhaustive_ranking(
+                        tax.parents, logp[i], k=k + 1, length_normalize=norm
+                    )
+                    assert [(h.score, h.classes) for h in sample] == want[:k]
+                    if len(want) > k:
+                        (s0, c0), (s1, c1) = want[k - 1 : k + 1]
+                        tie = s0 / len(c0) == s1 / len(c1) if norm else s0 == s1
+                        straddled[norm] += tie
+        assert all(straddled.values())  # some ties cross the k-th place
 
     def test_length_normalization_changes_ranking_rule(self):
         rng = np.random.default_rng(39)
@@ -223,6 +231,13 @@ class TestBeamDecode:
         probs = LevelProbabilities(data=np.zeros((1, 2, 9)))
         with pytest.raises(ShapeError):
             beam_decode(toy_encoding, probs, k=1)
+
+    def test_rejects_nan_probability(self, toy_encoding):
+        rng = np.random.default_rng(49)
+        data = random_probs(rng, toy_encoding).data.copy()
+        data[1, 1, 4] = np.nan  # class 5 sits on level 2
+        with pytest.raises(ParameterError, match="sample 1, level 2, class 5"):
+            beam_decode(toy_encoding, LevelProbabilities(data=data), k=2)
 
 
 class TestLevenshteinFunction:
@@ -363,3 +378,14 @@ class TestLevenshteinDecode:
         naive = np.array([[0.5, 3.0, 6.0]])
         with pytest.raises(ShapeError, match="integers"):
             levenshtein_decode(toy_encoding, naive, k=1)
+
+    def test_rejects_probability_outside_unit_interval(self, toy_encoding):
+        rng = np.random.default_rng(50)
+        probs = random_probs(rng, toy_encoding)
+        naive = naive_decode(probs)
+        data = probs.data.copy()
+        data[2, 2, 7] = 1.5  # class 8 sits on level 3
+        with pytest.raises(ParameterError, match="sample 2, level 3, class 8"):
+            levenshtein_decode(
+                toy_encoding, naive, k=2, probs=LevelProbabilities(data=data)
+            )
