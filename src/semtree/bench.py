@@ -1,9 +1,9 @@
 """Throughput and footprint measurements for the batched transforms.
 
-``run_bench`` times ``partition_scores`` and ``map_labels`` on random
-inputs over a given encoding and reports the median of several repeats
-(one warm-up run is discarded), next to the byte counts of every
-tensor involved.
+``run_bench`` times ``partition_scores``, ``map_labels`` and the loss
+(``flatten_for_training`` plus ``cross_entropy``) on random inputs over
+a given encoding and reports the median of several repeats (one warm-up
+run is discarded), next to the byte counts of every tensor involved.
 """
 
 import os
@@ -15,7 +15,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import InsufficientMemory, ParameterError
-from .transforms import partition_scores, map_labels
+from .transforms import (
+    cross_entropy,
+    flatten_for_training,
+    map_labels,
+    partition_scores,
+)
 from .tree import TreeEncoding, measured_bytes, storage_bytes
 
 
@@ -55,6 +60,7 @@ class BenchReport:
     encoding_bytes_in_memory: int
     partition_ns: int
     map_labels_ns: int
+    loss_ns: int  # flatten_for_training plus cross_entropy
 
     def _pairs(self) -> list[tuple[str, str]]:
         ms = lambda ns: f"{ns / 1e6:.3f} ms"
@@ -71,6 +77,7 @@ class BenchReport:
             ("encoding bytes in memory", str(self.encoding_bytes_in_memory)),
             ("partition median", ms(self.partition_ns)),
             ("map labels median", ms(self.map_labels_ns)),
+            ("loss median", ms(self.loss_ns)),
         ]
 
     def as_table(self) -> str:
@@ -113,9 +120,10 @@ def run_bench(
     if batch_size < 1:
         raise ParameterError(f"batch size must be positive, got {batch_size}")
     n, L = enc.num_classes, enc.num_levels
-    # Peak is two partitioned tensors: the one being timed plus the one
-    # from the previous repetition, freed only after the new allocation.
-    required = scores_bytes(batch_size, n) + 2 * partitioned_bytes(batch_size, L, n)
+    # Peak is the loss: the partitioned tensor it reads, the flattened
+    # rows (at most one per sample and level, so at most that tensor's
+    # size again) and the loss's own working memory, below the rows' size.
+    required = scores_bytes(batch_size, n) + 3 * partitioned_bytes(batch_size, L, n)
     available = _available_bytes()
     if available is not None and required > available:
         raise InsufficientMemory(
@@ -130,6 +138,10 @@ def run_bench(
 
         partition_ns = _median_ns(lambda: partition_scores(enc, scores), reps)
         map_labels_ns = _median_ns(lambda: map_labels(enc, labels), reps)
+        parts, paths = partition_scores(enc, scores), map_labels(enc, labels)
+        loss_ns = _median_ns(
+            lambda: cross_entropy(flatten_for_training(parts, paths)), reps
+        )
     except MemoryError as e:
         raise InsufficientMemory(
             f"benchmark ran out of memory for batch {batch_size} over "
@@ -149,4 +161,5 @@ def run_bench(
         encoding_bytes_in_memory=measured_bytes(enc),
         partition_ns=partition_ns,
         map_labels_ns=map_labels_ns,
+        loss_ns=loss_ns,
     )

@@ -18,7 +18,6 @@ import contextlib
 import io
 import math
 import os
-import re
 import struct
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -286,21 +285,34 @@ def _csv_cap(size: int, noun: str, where: str = "") -> None:
         )
 
 
-def _check_csv_size(path: Pathish, noun: str, fields: Callable[[bytes], int]) -> None:
+def _check_csv_size(
+    path: Pathish,
+    noun: str,
+    fields: Callable[[bytes], int],
+    width: Optional[int] = None,
+) -> None:
     """Refuse a CSV beyond ``CSV_ELEMENT_CAP`` values before parsing it.
 
     Counts the data lines (not blank, not a ``#`` comment, as ``loadtxt``
     skips) times the first one's ``fields``, counted the way the caller's
-    ``loadtxt`` splits a line, one line in memory at a time.
+    ``loadtxt`` splits a line, one line in memory at a time. With
+    ``width``, every data line must hold exactly that many fields, and
+    the first that does not is named by its 1-based line number.
     """
     rows = cols = 0
     with open(path, "rb") as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             data = line.split(b"#", 1)[0]
-            if data.strip():
-                cols = cols or fields(data)
-                rows += 1
-                _csv_cap(rows * cols, noun, f"{path}: ")
+            if not data.strip():
+                continue
+            if not cols or width is not None:
+                cols = fields(data)
+            if width is not None and cols != width:
+                raise FormatError(
+                    f"{path}: line {number} holds {cols} {noun}, expected {width}"
+                )
+            rows += 1
+            _csv_cap(rows * cols, noun, f"{path}: ")
 
 
 # -- flat labels -------------------------------------------------------------
@@ -323,7 +335,7 @@ def read_labels(path: Pathish) -> np.ndarray:
     if not _is_csv(path):
         (labels,) = _read_file(path, _read, _FORMATS["labels"])
         return labels
-    _check_csv_size(path, "labels", lambda line: re.subn(rb"\S+", b"", line)[1])
+    _check_csv_size(path, "labels", lambda line: len(line.split()), width=1)
     try:
         labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
         (spec,) = _FORMATS["labels"].layout(labels.size)

@@ -6,7 +6,8 @@ classes living at depth ``l`` and holds the mask value everywhere else.
 ``map_labels`` turns flat labels into ancestral path rows, and
 ``flatten_for_training`` collapses both into per-level training rows with
 the padding rows dropped. ``cross_entropy`` then scores those rows
-without the mask value ever poisoning the arithmetic.
+without the mask value ever poisoning the arithmetic: its cost is one
+scan of the rows plus work on the entries that are not ``-inf``.
 """
 
 from dataclasses import dataclass
@@ -98,9 +99,9 @@ def partition_scores(
 ) -> PartitionedScores:
     """Expand flat scores (b, n) into per-level slices (b, L, n).
 
-    Every score lands unchanged in the one slice owning its class; all
-    other positions hold ``mask_value``. Integer input is promoted to
-    float64, float input keeps its dtype.
+    Every score lands unchanged in the one slice owning its class, found
+    by ``level_of``; all other positions hold ``mask_value``. Integer
+    input is promoted to float64, float input keeps its dtype.
     """
     mask_value = _check_mask_value(mask_value)
     scores = np.asarray(scores)
@@ -115,8 +116,11 @@ def partition_scores(
         scores = scores.astype(np.float64)
     if not np.isfinite(scores).all():
         raise ParameterError("scores must be finite")
-    data = np.where(enc.masks[None, :, :], mask_value, scores[:, None, :])
-    return PartitionedScores(data=data, mask_value=mask_value)
+    (b, n), L = scores.shape, enc.num_levels
+    data = np.full((b, L * n), mask_value, dtype=scores.dtype)
+    # Class c's score goes to column c of slice level_of[c].
+    data[:, enc.level_of.astype(np.intp) * n + np.arange(n)] = scores
+    return PartitionedScores(data=data.reshape(b, L, n), mask_value=mask_value)
 
 
 def map_labels(enc: TreeEncoding, labels: np.ndarray) -> PathLabels:
@@ -164,8 +168,10 @@ def cross_entropy(flat: FlatTrainingSet, reduction: str = "mean") -> LossResult:
     """Numerically stable cross entropy over the retained training rows.
 
     Only rows masked with ``-inf`` are supported: exp(-inf) is exactly
-    zero, so excluded classes vanish from the normalizer with no special
-    cases. The per-row losses and their mean (or sum) are returned.
+    zero, so excluded classes drop out of the normalizer. The cost is
+    one scan of the rows for their live (not ``-inf``) entries, then
+    float64 work on those entries alone. The per-row losses and their
+    mean (or sum) are returned.
     """
     if flat.mask_value != NEG_INF:
         raise UnsupportedMaskValue(
@@ -176,20 +182,31 @@ def cross_entropy(flat: FlatTrainingSet, reduction: str = "mean") -> LossResult:
         raise ParameterError(f"unknown reduction {reduction!r}")
     if flat.num_rows == 0:
         raise ParameterError("cannot reduce a loss over zero rows")
-    rows = flat.rows.astype(np.float64)
-    labels = flat.labels
-    if (labels < 0).any() or (labels >= rows.shape[1]).any():
-        i = int(np.argmax((labels < 0) | (labels >= rows.shape[1])))
-        raise LabelError(i, int(labels[i]), rows.shape[1])
-    label_scores = rows[np.arange(rows.shape[0]), labels]
+    rows, labels = flat.rows, flat.labels
+    num_rows, n = rows.shape
+    if (labels < 0).any() or (labels >= n).any():
+        i = int(np.argmax((labels < 0) | (labels >= n)))
+        raise LabelError(i, int(labels[i]), n)
+    label_scores = rows[np.arange(num_rows), labels].astype(np.float64)
     if not np.isfinite(label_scores).all():
         i = int(np.argmax(~np.isfinite(label_scores)))
         raise InconsistentRow(
             f"row {i}: the labeled class {int(labels[i]) + 1} is masked out"
         )
-    # Shift by the row max so exp never overflows; -inf entries drop out.
-    m = rows.max(axis=1)
-    lse = np.log(np.exp(rows - m[:, None]).sum(axis=1)) + m
+    # exp(-inf) is 0, so only the live entries count. Row-major, each
+    # row's live entries are one segment, never empty: its label is live.
+    # The indices go before the float64 work, to keep the peak low.
+    live = np.flatnonzero(rows != NEG_INF)
+    starts = np.searchsorted(live, np.arange(num_rows) * n)
+    vals = np.ravel(rows)[live].astype(np.float64)
+    del live
+    # Shift each segment by its max so exp never overflows. NaN or +inf
+    # in a live entry makes the row's loss non-finite, and the check
+    # below raises rather than numpy warning about inf - inf.
+    m = np.maximum.reduceat(vals, starts)
+    with np.errstate(invalid="ignore"):
+        vals -= np.repeat(m, np.diff(starts, append=vals.size))
+    lse = np.log(np.add.reduceat(np.exp(vals, out=vals), starts)) + m
     per_row = lse - label_scores
     if not np.isfinite(per_row).all():
         i = int(np.argmax(~np.isfinite(per_row)))

@@ -44,6 +44,7 @@ class TestRunBench:
         assert report.encoding_bytes == 9 * 6 * 300
         assert report.partition_ns > 0
         assert report.map_labels_ns > 0
+        assert report.loss_ns > 0
 
     def test_deterministic_inputs(self, small_encoding):
         a = run_bench(small_encoding, 8, 3, seed=5)
@@ -67,11 +68,17 @@ class TestRendering:
     def test_table_lists_every_number(self, small_encoding):
         report = run_bench(small_encoding, 8, 3, seed=2)
         table = report.as_table()
-        for needle in ("classes", "partition median", str(report.partitioned_bytes)):
+        for needle in (
+            "classes",
+            "partition median",
+            "loss median",
+            str(report.partitioned_bytes),
+        ):
             assert needle in table
 
     def test_kv_is_machine_friendly(self, small_encoding):
         report = run_bench(small_encoding, 8, 3, seed=2)
         lines = report.as_kv().splitlines()
         assert f"partitioned_bytes={report.partitioned_bytes}" in lines
+        assert f"loss_ns={report.loss_ns}" in lines
         assert all("=" in line for line in lines)

@@ -142,6 +142,15 @@ class TestLabelFiles:
         fileio.write_labels(np.array([0, 4]), p)
         assert p.read_text().split() == ["1", "5"]
 
+    def test_csv_one_label_per_line(self, tmp_path):
+        # "1 2 3" / "4 5 6" once read back as a (2, 3) array.
+        p = tmp_path / "labels.csv"
+        for text, line in (("1 2 3\n4 5 6\n", 1), ("# ids\n1\n\n4 5 6\n", 4)):
+            p.write_text(text)
+            where = rf"labels\.csv: line {line} holds 3 labels"
+            with pytest.raises(FormatError, match=where):
+                fileio.read_labels(p)
+
     def test_zero_on_disk_rejected(self, tmp_path):
         p = tmp_path / "labels.bin"
         with open(p, "wb") as f:

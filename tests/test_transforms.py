@@ -1,5 +1,7 @@
 """Score partitioning, label mapping, flattening, and the training loss."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,13 @@ from semtree import (
     ParameterError,
     PathLabels,
     ShapeError,
+    SyntheticTreeSpec,
     UnsupportedMaskValue,
     cross_entropy,
     display_ids,
     encode,
     flatten_for_training,
+    generate_synthetic,
     map_labels,
     partition_scores,
 )
@@ -65,10 +69,21 @@ class TestPartitionScores:
         for _ in range(20):
             tax = random_taxonomy(rng, max_classes=120, max_depth=5)
             enc = encode(tax)
-            scores = rng.standard_normal((3, enc.num_classes), dtype=np.float32)
-            got = partition_scores(enc, scores)
-            want = oracles.partition_elementwise(tax.parents, scores, NEG_INF)
-            np.testing.assert_array_equal(got.data, want)
+            raw = rng.standard_normal((3, enc.num_classes)) * 100
+            # Integer scores are promoted to float64; floats keep their dtype.
+            for dtype, out in (
+                (np.float32, np.float32),
+                (np.float64, np.float64),
+                (np.int32, np.float64),
+            ):
+                scores = raw.astype(dtype)
+                for fill in (NEG_INF, float("nan"), 0.0, -1e9):
+                    got = partition_scores(enc, scores, mask_value=fill)
+                    want = oracles.partition_elementwise(
+                        tax.parents, scores.astype(out), fill
+                    )
+                    assert got.data.dtype == out
+                    assert np.array_equal(got.data, want, equal_nan=True)
 
     def test_preserves_float32(self, toy_encoding):
         parts = partition_scores(toy_encoding, toy_scores())
@@ -300,3 +315,55 @@ class TestCrossEntropy:
         )
         with pytest.raises(InconsistentRow):
             cross_entropy(flat)
+
+    def test_arbitrary_masks_match_dense_reference(self):
+        # -inf patterns that follow no level: the loss sees only live entries.
+        rng = np.random.default_rng(25)
+        for dtype in (np.float32, np.float64):
+            rows = rng.standard_normal((40, 30)).astype(dtype) * 5
+            rows[rng.random(rows.shape) < 0.7] = NEG_INF
+            labels = rng.integers(0, 30, size=40)
+            rows[np.arange(40), labels] = rng.standard_normal(40)
+            rows[0] = NEG_INF
+            rows[0, labels[0]] = 2.5  # only the label is live
+            flat = _hand_built(rows, labels)
+            result = cross_entropy(flat)
+            assert result.per_row.dtype == np.float64
+            assert result.per_row[0] == 0.0
+            for i, row in enumerate(rows):
+                members = np.flatnonzero(row != NEG_INF)
+                want = oracles.cross_entropy_dense(
+                    row.astype(np.float64), members, int(labels[i])
+                )
+                assert result.per_row[i] == pytest.approx(want, rel=1e-6, abs=1e-12)
+
+    def test_non_finite_live_entry_is_inconsistent(self):
+        for bad in (float("nan"), float("inf")):
+            rows = np.array([[0.5, NEG_INF, 1.0], [NEG_INF, bad, 0.2]])
+            flat = _hand_built(rows, [0, 2])
+            with pytest.raises(InconsistentRow, match="row 1"):
+                cross_entropy(flat)
+
+    def test_peak_memory_below_rows(self):
+        tax = generate_synthetic(SyntheticTreeSpec(10_000, 8, seed=0))
+        enc = encode(tax)
+        rng = np.random.default_rng(26)
+        scores = rng.standard_normal((64, enc.num_classes), dtype=np.float32)
+        labels = rng.integers(0, enc.num_classes, size=64)
+        flat = _flat_from(enc, scores, labels)
+        tracemalloc.start()
+        try:
+            cross_entropy(flat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < flat.rows.nbytes
+
+
+def _hand_built(rows, labels):
+    labels = np.asarray(labels, dtype=np.int64)
+    return FlatTrainingSet(
+        rows=rows,
+        labels=labels,
+        origin=np.column_stack((np.arange(labels.size), np.zeros_like(labels))),
+    )
