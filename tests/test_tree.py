@@ -126,6 +126,44 @@ class TestEncode:
             )
 
 
+class TestClassDepths:
+    @pytest.mark.parametrize(
+        "parents, named",
+        [
+            ([1, 0], 1),
+            ([0], 1),
+            ([1, 2, 3, 1], 2),
+            ([-1, 2, 1, 1], 2),
+            ([1, 2, 3, 2], 3),
+            ([3, -1, 0, 2], 1),
+        ],
+    )
+    def test_cycle_message_names_first_repeat(self, parents, named):
+        # Walking from the smallest class that never reaches a root, the
+        # error names the first class the walk visits twice.
+        with pytest.raises(st.CyclicTaxonomy, match=rf"^cycle through class {named}$"):
+            st.class_depths(np.array(parents, dtype=np.int32))
+
+    def test_matches_reference_on_shuffled_forests(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            tax = random_taxonomy(rng, max_classes=300, max_depth=int(rng.integers(1, 40)))
+            expected = [oracles.depth_of(tax.parents, c) for c in range(tax.num_classes)]
+            depths = st.class_depths(tax.parents)
+            assert depths.dtype == np.int32
+            np.testing.assert_array_equal(depths, expected)
+
+    def test_deep_chain(self):
+        # A 5,000-deep chain with shuffled ids: class order[i] sits at depth i.
+        n = 5000
+        order = np.random.default_rng(18).permutation(n)
+        parents = np.full(n, -1, dtype=np.int32)
+        parents[order[1:]] = order[:-1]
+        expected = np.empty(n, dtype=np.int32)
+        expected[order] = np.arange(n)
+        np.testing.assert_array_equal(st.class_depths(parents), expected)
+
+
 class TestValidate:
     def _rebuild(self, enc, **overrides):
         fields = dict(
