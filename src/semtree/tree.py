@@ -128,29 +128,27 @@ class ValidationReport:
 
 
 def class_depths(parents: np.ndarray) -> np.ndarray:
-    """Depth of every class (roots are depth 0).
+    """Depth of every class (roots are depth 0), as int32.
 
-    Raises ``CyclicTaxonomy`` if following parent pointers ever loops.
+    Pointer jumping over a root sentinel (Hillis & Steele, CACM 1986):
+    ``n.bit_length()`` rounds of two length-n gathers. A class that never
+    reaches the sentinel lies on or below a cycle, and ``CyclicTaxonomy``
+    names the first class that the walk up from the smallest one repeats.
     """
     n = parents.size
-    depth = np.full(n, -1, dtype=np.int32)
-    par = parents.tolist()
-    for start in range(n):
-        if depth[start] != -1:
-            continue
-        chain = []
-        node = start
-        while node != NO_PARENT and depth[node] == -1:
-            depth[node] = -2  # on the chain currently being walked
-            chain.append(node)
-            node = par[node]
-        if node != NO_PARENT and depth[node] == -2:
-            raise CyclicTaxonomy(f"cycle through class {node + 1}")
-        d = 0 if node == NO_PARENT else int(depth[node]) + 1
-        for c in reversed(chain):
-            depth[c] = d
-            d += 1
-    return depth
+    up = np.append(np.where(parents == NO_PARENT, n, parents), n).astype(np.intp)
+    depth = (up != n).astype(np.int32)
+    for _ in range(n.bit_length()):
+        depth += depth[up]
+        up = up[up]
+    stuck = np.flatnonzero(up[:n] != n)
+    if stuck.size:
+        seen, node = set(), int(stuck[0])
+        while node not in seen:
+            seen.add(node)
+            node = int(parents[node])
+        raise CyclicTaxonomy(f"cycle through class {node + 1}")
+    return depth[:n]
 
 
 def encode(taxonomy: Taxonomy) -> TreeEncoding:
@@ -277,12 +275,9 @@ def validate(enc: TreeEncoding) -> ValidationReport:
 
     # Prefix property: a path is its parent's path plus the class itself.
     deep = np.nonzero(level_of > 0)[0]
-    prefix_ok = np.ones(n, dtype=bool)
     if deep.size:
         par = paths[deep, level_of[deep] - 1]
-        par_valid = (par >= 0) & (par < n)
-        for c in deep[~par_valid]:
-            prefix_ok[c] = False  # already reported as path-range
+        par_valid = (par >= 0) & (par < n)  # the rest are path-range
         good = deep[par_valid]
         par = par[par_valid].astype(np.intp)
         depth_ok = level_of[par] == level_of[good] - 1
@@ -290,7 +285,6 @@ def validate(enc: TreeEncoding) -> ValidationReport:
         shared = cols < level_of[good][:, None]
         rows_equal = np.all(~shared | (paths[good] == paths[par]), axis=1)
         for c, p in zip(good[~(depth_ok & rows_equal)], par[~(depth_ok & rows_equal)]):
-            prefix_ok[c] = False
             add(
                 Violation(
                     "prefix",
@@ -299,6 +293,12 @@ def validate(enc: TreeEncoding) -> ValidationReport:
                     f"parent {p + 1}",
                 )
             )
+
+    # With no violation so far, each class is unmasked only at its own
+    # depth and paths[c, j] has depth j (endpoint, then prefix by induction
+    # on depth), so no two classes of one path can share a level row.
+    if report.ok:
+        return report
 
     # Depth-partition validity: no two unmasked classes in one level row
     # may lie on the same ancestral path.
