@@ -63,6 +63,20 @@ class Taxonomy:
         return np.array_equal(self.parents, other.parents)
 
 
+def _as_int32(name: str, a) -> np.ndarray:
+    """``a`` as a contiguous int32 array; refuses what the cast would change."""
+    a = np.asarray(a)
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ParameterError(f"{name} must be an integer array, got {a.dtype}")
+    if not np.can_cast(a.dtype, np.int32):
+        info = np.iinfo(np.int32)
+        bad = (a < info.min) | (a > info.max)
+        if bad.any():
+            value = int(a[np.unravel_index(np.argmax(bad), a.shape)])
+            raise ParameterError(f"{name} entry {value} does not fit in int32")
+    return np.ascontiguousarray(a, dtype=np.int32)
+
+
 @dataclass(frozen=True, eq=False)
 class TreeEncoding:
     """Immutable encoded forest: the mask and path matrices plus metadata.
@@ -80,9 +94,12 @@ class TreeEncoding:
     pad_value: ClassVar[int] = PAD
 
     def __post_init__(self):
-        masks = np.ascontiguousarray(self.masks, dtype=bool)
-        paths = np.ascontiguousarray(self.paths, dtype=np.int32)
-        level_of = np.ascontiguousarray(self.level_of, dtype=np.int32)
+        masks = np.asarray(self.masks)
+        if masks.dtype != bool:
+            raise ParameterError(f"masks must be a boolean array, got {masks.dtype}")
+        masks = np.ascontiguousarray(masks)
+        paths = _as_int32("paths", self.paths)
+        level_of = _as_int32("level_of", self.level_of)
         n, L = self.num_classes, self.num_levels
         if masks.shape != (L, n) or paths.shape != (n, L) or level_of.shape != (n,):
             raise ParameterError(

@@ -12,6 +12,23 @@ def depth_of(parents, c):
     return 0 if p == -1 else depth_of(parents, p) + 1
 
 
+def cycle_named(parents):
+    """The class a cycle error names, or None for a forest.
+
+    Walks up from each class in id order; the first walk that never
+    reaches a root names the first class it visits twice.
+    """
+    for start in range(len(parents)):
+        seen = []
+        c = start
+        while c != -1 and c not in seen:
+            seen.append(c)
+            c = int(parents[c])
+        if c != -1:
+            return c
+    return None
+
+
 def path_of(parents, c):
     p = int(parents[c])
     return [c] if p == -1 else path_of(parents, p) + [c]

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import semtree as st
 import oracles
@@ -164,6 +166,35 @@ class TestClassDepths:
         np.testing.assert_array_equal(st.class_depths(parents), expected)
 
 
+@hs.composite
+def parent_arrays(draw):
+    """Up to 24 classes with shuffled ids: a forest, or parents drawn from
+    every id, which gives cycles and self-loops."""
+    n = draw(hs.integers(1, 24))
+    forest = draw(hs.booleans())
+    parents = [draw(hs.integers(-1, c - 1 if forest else n - 1)) for c in range(n)]
+    perm = draw(hs.permutations(range(n)))
+    shuffled = np.full(n, -1, dtype=np.int32)
+    for c, p in enumerate(parents):
+        if p != -1:
+            shuffled[perm[c]] = perm[p]
+    return shuffled
+
+
+@settings(max_examples=300, deadline=None)
+@given(parents=parent_arrays())
+def test_encode_fuzz_gives_a_valid_encoding_or_names_the_cycle(parents):
+    named = oracles.cycle_named(parents)
+    if named is not None:
+        with pytest.raises(st.CyclicTaxonomy, match=rf"^cycle through class {named + 1}$"):
+            st.encode(st.Taxonomy(parents=parents))
+        return
+    enc = st.encode(st.Taxonomy(parents=parents))
+    assert st.validate(enc).ok
+    expected = [oracles.depth_of(parents, c) for c in range(parents.size)]
+    np.testing.assert_array_equal(enc.level_of, expected)
+
+
 class TestValidate:
     def _rebuild(self, enc, **overrides):
         fields = dict(
@@ -245,6 +276,35 @@ class TestValidate:
         kinds = {v.kind for v in st.validate(enc).violations}
         assert "shared-path" in kinds
 
+    def test_shared_path_only_after_an_earlier_kind(self):
+        # validate scans for shared paths only once an earlier check has
+        # failed; corrupted encodings show that no shared path gets past
+        # the earlier checks alone.
+        rng = np.random.default_rng(19)
+        shared = 0
+        for _ in range(600):
+            enc = st.encode(random_taxonomy(rng, max_classes=30, max_depth=5))
+            n, L = enc.num_classes, enc.num_levels
+            masks, paths, level_of = enc.masks.copy(), enc.paths.copy(), enc.level_of.copy()
+            for _ in range(int(rng.integers(1, 4))):
+                what = rng.integers(3)
+                if what == 0:
+                    masks[rng.integers(L), rng.integers(n)] ^= True
+                elif what == 1:
+                    paths[rng.integers(n), rng.integers(L)] = rng.integers(-2, n + 1)
+                else:
+                    level_of[rng.integers(n)] = rng.integers(-1, L + 1)
+            bad = self._rebuild(enc, masks=masks, paths=paths, level_of=level_of)
+            kinds = [v.kind for v in st.validate(bad).violations]
+            if "shared-path" in kinds:
+                shared += 1
+                assert kinds[0] != "shared-path"
+            if not kinds:
+                for c in range(n):
+                    (row,) = np.flatnonzero(~masks[:, c])
+                    assert masks[row, paths[c, : level_of[c]]].all()
+        assert shared > 50
+
     def test_messages_are_one_based(self, toy_encoding):
         paths = toy_encoding.paths.copy()
         paths[6, 0] = 55
@@ -255,6 +315,23 @@ class TestValidate:
     def test_shape_mismatch_rejected_on_construction(self, toy_encoding):
         with pytest.raises(st.ParameterError):
             self._rebuild(toy_encoding, masks=toy_encoding.masks[:, :5].copy())
+
+    def test_path_entry_that_wraps_in_int32_rejected(self, toy_encoding):
+        paths = toy_encoding.paths.astype(np.int64)
+        paths[4, 0] = 2**32 + 1  # would wrap to root 2, its true value
+        with pytest.raises(st.ParameterError, match="paths entry 4294967297"):
+            self._rebuild(toy_encoding, paths=paths)
+
+    def test_float_level_of_rejected(self, toy_encoding):
+        level_of = toy_encoding.level_of.astype(np.float64)
+        level_of[2] = 1.7  # would truncate to 1, its true depth
+        with pytest.raises(st.ParameterError, match="level_of must be an integer"):
+            self._rebuild(toy_encoding, level_of=level_of)
+
+    def test_non_boolean_masks_rejected(self, toy_encoding):
+        masks = np.where(toy_encoding.masks, 5, 0)  # would cast to the same bits
+        with pytest.raises(st.ParameterError, match="masks must be a boolean"):
+            self._rebuild(toy_encoding, masks=masks)
 
 
 class TestStorage:
