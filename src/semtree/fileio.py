@@ -18,6 +18,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import struct
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -285,34 +286,54 @@ def _csv_cap(size: int, noun: str, where: str = "") -> None:
         )
 
 
+# A line ``loadtxt`` skips: blank, or a ``#`` after nothing but whitespace.
+_SKIPPED_LINE = re.compile(rb"^[^\S\n]*(?:#|$)", re.M)
+# A line it parses, and one of those with a second whitespace-separated field.
+_DATA_LINE = re.compile(rb"^[^\S\n]*[^\s#].*", re.M)
+_WIDE_LINE = re.compile(rb"^[^\S\n]*[^\s#]+[^\S\n]+[^\s#].*", re.M)
+_CSV_CHUNK = 1 << 20
+
+
+def _data_lines(text: bytes) -> int:
+    """Data lines in whole lines of text; the piece after a final newline is blank."""
+    return text.count(b"\n") + 1 - sum(1 for _ in _SKIPPED_LINE.finditer(text))
+
+
 def _check_csv_size(
     path: Pathish,
     noun: str,
     fields: Callable[[bytes], int],
-    width: Optional[int] = None,
+    one_per_line: bool = False,
 ) -> None:
     """Refuse a CSV beyond ``CSV_ELEMENT_CAP`` values before parsing it.
 
     Counts the data lines (not blank, not a ``#`` comment, as ``loadtxt``
     skips) times the first one's ``fields``, counted the way the caller's
-    ``loadtxt`` splits a line, one line in memory at a time. With
-    ``width``, every data line must hold exactly that many fields, and
-    the first that does not is named by its 1-based line number.
+    ``loadtxt`` splits a line. With ``one_per_line``, every data line
+    must hold one whitespace-separated field, and the first that does not
+    is named by its 1-based line number. The file is scanned in chunks of
+    1 MiB, each extended to the end of the line it stops in.
     """
-    rows = cols = 0
+    rows = cols = lines = 0
     with open(path, "rb") as f:
-        for number, line in enumerate(f, 1):
-            data = line.split(b"#", 1)[0]
-            if not data.strip():
-                continue
-            if not cols or width is not None:
-                cols = fields(data)
-            if width is not None and cols != width:
+        while chunk := f.read(_CSV_CHUNK):
+            chunk += f.readline()
+            if not cols and (first := _DATA_LINE.search(chunk)):
+                cols = 1 if one_per_line else fields(first.group().split(b"#", 1)[0])
+            wide = _WIDE_LINE.search(chunk) if one_per_line else None
+            # Count up to the wide line only: the cap may trip before it.
+            ahead = _data_lines(chunk[: wide.start()] if wide else chunk)
+            limit = CSV_ELEMENT_CAP // cols if cols else 0
+            if rows + ahead > limit:
+                _csv_cap((limit + 1) * cols, noun, f"{path}: ")
+            if wide:
+                number = lines + chunk.count(b"\n", 0, wide.start()) + 1
                 raise FormatError(
-                    f"{path}: line {number} holds {cols} {noun}, expected {width}"
+                    f"{path}: line {number} holds "
+                    f"{fields(wide.group().split(b'#', 1)[0])} {noun}, expected 1"
                 )
-            rows += 1
-            _csv_cap(rows * cols, noun, f"{path}: ")
+            rows += ahead
+            lines += chunk.count(b"\n")
 
 
 # -- flat labels -------------------------------------------------------------
@@ -335,7 +356,7 @@ def read_labels(path: Pathish) -> np.ndarray:
     if not _is_csv(path):
         (labels,) = _read_file(path, _read, _FORMATS["labels"])
         return labels
-    _check_csv_size(path, "labels", lambda line: len(line.split()), width=1)
+    _check_csv_size(path, "labels", lambda line: len(line.split()), one_per_line=True)
     try:
         labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
         (spec,) = _FORMATS["labels"].layout(labels.size)

@@ -168,3 +168,29 @@ def nearest_paths(parents, seq, k, logp=None):
     if logp is None:
         return cands[:k]
     return [(d, -neg, path) for d, neg, path in cands[:k]]
+
+
+def csv_size_error(path, noun, fields, cap, width=None):
+    """The refusal a CSV size check gives, or None, one line at a time.
+
+    Skips blank and ``#`` comment lines, counts data lines times the
+    first one's ``fields``, and with ``width`` names the first data line
+    of another width.
+    """
+    rows = cols = 0
+    with open(path, "rb") as f:
+        for number, line in enumerate(f, 1):
+            data = line.split(b"#", 1)[0]
+            if not data.strip():
+                continue
+            if not cols or width is not None:
+                cols = fields(data)
+            if width is not None and cols != width:
+                return f"{path}: line {number} holds {cols} {noun}, expected {width}"
+            rows += 1
+            if rows * cols > cap:
+                return (
+                    f"{path}: CSV holds at most {cap} {noun}, count reached "
+                    f"{rows * cols}; use the binary format"
+                )
+    return None

@@ -2,10 +2,14 @@
 
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+import oracles
 from helpers import TOY_PARENTS
 from semtree import (
     FlatTrainingSet,
@@ -116,6 +120,43 @@ class TestScoreFiles:
     def test_rejects_one_dimensional(self, tmp_path):
         with pytest.raises(ShapeError):
             fileio.write_scores(np.zeros(4), tmp_path / "x.bin")
+
+
+# How each CSV reader counts the fields of a line, and whether it wants one.
+CSV_FIELDS = {
+    "scores": (lambda line: line.count(b",") + 1, False),
+    "labels": (lambda line: len(line.split()), True),
+}
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=hs.sampled_from(sorted(CSV_FIELDS)),
+    lines=hs.lists(hs.text(alphabet="7,# \t\r\x0c", max_size=6), max_size=25),
+    end=hs.sampled_from(["", "\n"]),
+    cap=hs.integers(1, 12),
+    chunk=hs.integers(1, 16),
+)
+def test_csv_scan_matches_line_by_line_reference(kind, lines, end, cap, chunk, csv_dir):
+    # Tiny chunks and caps put chunk edges and the cap inside every case.
+    p = csv_dir / f"{kind}.csv"
+    p.write_text("\n".join(lines) + end, newline="")
+    fields, one_per_line = CSV_FIELDS[kind]
+    expected = oracles.csv_size_error(p, kind, fields, cap, 1 if one_per_line else None)
+    with mock.patch.object(fileio, "CSV_ELEMENT_CAP", cap), mock.patch.object(
+        fileio, "_CSV_CHUNK", chunk
+    ):
+        try:
+            fileio._check_csv_size(p, kind, fields, one_per_line)
+            got = None
+        except FormatError as e:
+            got = str(e)
+    assert got == expected
 
 
 class TestLabelFiles:
