@@ -294,11 +294,6 @@ _WIDE_LINE = re.compile(rb"^[^\S\n]*[^\s#]+[^\S\n]+[^\s#].*", re.M)
 _CSV_CHUNK = 1 << 20
 
 
-def _data_lines(text: bytes) -> int:
-    """Data lines in whole lines of text; the piece after a final newline is blank."""
-    return text.count(b"\n") + 1 - sum(1 for _ in _SKIPPED_LINE.finditer(text))
-
-
 def _check_csv_size(
     path: Pathish,
     noun: str,
@@ -321,8 +316,10 @@ def _check_csv_size(
             if not cols and (first := _DATA_LINE.search(chunk)):
                 cols = 1 if one_per_line else fields(first.group().split(b"#", 1)[0])
             wide = _WIDE_LINE.search(chunk) if one_per_line else None
-            # Count up to the wide line only: the cap may trip before it.
-            ahead = _data_lines(chunk[: wide.start()] if wide else chunk)
+            # Data lines up to the wide line, where the cap may trip first;
+            # the empty piece after a final newline counts as a skipped line.
+            text = chunk[: wide.start()] if wide else chunk
+            ahead = text.count(b"\n") + 1 - sum(1 for _ in _SKIPPED_LINE.finditer(text))
             limit = CSV_ELEMENT_CAP // cols if cols else 0
             if rows + ahead > limit:
                 _csv_cap((limit + 1) * cols, noun, f"{path}: ")
