@@ -4,7 +4,19 @@ Everything here favors obviousness over speed: recursion, per-element
 loops, full DP tables. None of it shares code with the package.
 """
 
+import os
+
 import numpy as np
+
+from semtree import (
+    CyclicTaxonomy,
+    DanglingEdge,
+    EdgeListError,
+    MultiParentResolution,
+    MultipleParents,
+    ParsedTaxonomy,
+    Taxonomy,
+)
 
 
 def depth_of(parents, c):
@@ -194,3 +206,202 @@ def csv_size_error(path, noun, fields, cap, width=None):
                     f"{rows * cols}; use the binary format"
                 )
     return None
+
+
+def parse_edge_list_reference(source, policy="first"):
+    """Edge-list parsing one line at a time, with dicts and sets.
+
+    Same results and errors as ``semtree.parse_edge_list``, which must
+    match it; the cycle check walks up from each class in id order.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    else:
+        lines = list(source)
+
+    assignment = {}  # child id -> parent id, -1 for root
+    order = []
+    parents_seen = set()
+    resolutions = []
+
+    def parse_id(token, lineno):
+        try:
+            value = int(token)
+        except ValueError:
+            raise EdgeListError(
+                f"line {lineno}: {token!r} is not an integer class id"
+            ) from None
+        if value < 1:
+            raise EdgeListError(f"line {lineno}: class ids start at 1, got {value}")
+        return value
+
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if len(tokens) > 2:
+            raise EdgeListError(
+                f"line {lineno}: expected 'child parent' or a bare root id, "
+                f"got {len(tokens)} fields"
+            )
+        child = parse_id(tokens[0], lineno)
+        parent = parse_id(tokens[1], lineno) if len(tokens) == 2 else None
+        key = -1 if parent is None else parent
+        if child in assignment:
+            if assignment[child] == key:
+                raise EdgeListError(
+                    f"line {lineno}: duplicate declaration of class {child}"
+                )
+            if policy == "reject":
+                raise MultipleParents(
+                    f"line {lineno}: class {child} already has "
+                    f"{'a parent' if assignment[child] != -1 else 'a root line'}, "
+                    f"cannot also assign "
+                    f"{'parent ' + str(parent) if parent is not None else 'root'}"
+                )
+            resolutions.append(
+                MultiParentResolution(
+                    child=child - 1,
+                    kept=assignment[child] - 1 if assignment[child] != -1 else -1,
+                    dropped=key - 1 if key != -1 else -1,
+                )
+            )
+            continue
+        assignment[child] = key
+        order.append(child)
+        if parent is not None:
+            parents_seen.add(parent)
+
+    if not assignment:
+        raise EdgeListError("edge list declares no classes")
+    undeclared = parents_seen - assignment.keys()
+    if undeclared:
+        p = min(undeclared)
+        child = next(c for c in order if assignment[c] == p)
+        raise DanglingEdge(
+            f"parent {p} of class {child} is never declared as a class"
+        )
+    n = len(assignment)
+    if set(assignment) != set(range(1, n + 1)):
+        missing = min(set(range(1, n + 1)) - set(assignment))
+        raise EdgeListError(
+            f"class ids must be contiguous from 1: {n} classes declared "
+            f"but id {missing} is missing"
+        )
+
+    parents = [-1] * n
+    for child, key in assignment.items():
+        if key != -1:
+            parents[child - 1] = key - 1
+    named = cycle_named(parents)
+    if named is not None:
+        raise CyclicTaxonomy(f"cycle through class {named + 1}")
+    return ParsedTaxonomy(
+        taxonomy=Taxonomy(parents=np.array(parents)),
+        resolutions=tuple(resolutions),
+    )
+
+
+def validate_reference(enc):
+    """``semtree.validate``'s report as (kind, where, message) triples.
+
+    Whole-matrix form: builds the (n, L) masks of real and in-range
+    path entries and compares each child's path row with its parent's.
+    """
+    out = []
+    add = out.append
+    n, L = enc.num_classes, enc.num_levels
+    masks, paths, level_of = enc.masks, enc.paths, enc.level_of
+
+    level_ok = (level_of >= 0) & (level_of < L)
+    for c in np.nonzero(~level_ok)[0]:
+        add((
+            "level-range",
+            (int(c),),
+            f"class {c + 1} has depth {int(level_of[c])}, outside [0, {L})",
+        ))
+    if out:
+        return out
+
+    unmask_counts = (~masks).sum(axis=0)
+    for c in np.nonzero(unmask_counts != 1)[0]:
+        add((
+            "unmask-count",
+            (int(c),),
+            f"class {c + 1} is unmasked in {int(unmask_counts[c])} "
+            f"level rows, expected exactly 1",
+        ))
+    wrong_level = masks[level_of, np.arange(n)]
+    for c in np.nonzero(wrong_level)[0]:
+        add((
+            "level-mismatch",
+            (int(c),),
+            f"class {c + 1} is masked at its own depth level "
+            f"{int(level_of[c]) + 1}",
+        ))
+
+    cols = np.arange(L)[None, :]
+    real = cols <= level_of[:, None]
+    in_range = (paths >= 0) & (paths < n)
+    for c, l in zip(*np.nonzero(real & ~in_range)):
+        add((
+            "path-range",
+            (int(c), int(l)),
+            f"path row {c + 1} has non-class entry {int(paths[c, l])} "
+            f"at level {l + 1}",
+        ))
+    for c, l in zip(*np.nonzero(~real & (paths != -1))):
+        add((
+            "path-pad-tail",
+            (int(c), int(l)),
+            f"path row {c + 1} should be padding from level "
+            f"{int(level_of[c]) + 2} on, found {int(paths[c, l])} "
+            f"at level {l + 1}",
+        ))
+    endpoint = paths[np.arange(n), level_of]
+    for c in np.nonzero(endpoint != np.arange(n))[0]:
+        add((
+            "path-endpoint",
+            (int(c),),
+            f"path row {c + 1} ends in {int(endpoint[c]) + 1} "
+            f"instead of the class itself",
+        ))
+
+    deep = np.nonzero(level_of > 0)[0]
+    if deep.size:
+        par = paths[deep, level_of[deep] - 1]
+        par_valid = (par >= 0) & (par < n)
+        good = deep[par_valid]
+        par = par[par_valid].astype(np.intp)
+        depth_ok = level_of[par] == level_of[good] - 1
+        shared = cols < level_of[good][:, None]
+        rows_equal = np.all(~shared | (paths[good] == paths[par]), axis=1)
+        for c, p in zip(good[~(depth_ok & rows_equal)], par[~(depth_ok & rows_equal)]):
+            add((
+                "prefix",
+                (int(c), int(p)),
+                f"path row {c + 1} does not extend the path of its "
+                f"parent {p + 1}",
+            ))
+
+    # Every shared path is scanned for, whatever came before.
+    for l in range(L):
+        members = np.nonzero(~masks[l])[0]
+        if members.size == 0:
+            continue
+        in_row = ~masks[l]
+        sub = paths[members]
+        strict = cols < level_of[members][:, None]
+        entry_ok = strict & (sub >= 0) & (sub < n)
+        hits = np.zeros_like(entry_ok)
+        hits[entry_ok] = in_row[sub[entry_ok]]
+        for i, j in zip(*np.nonzero(hits)):
+            a, b = int(sub[i, j]), int(members[i])
+            add((
+                "shared-path",
+                (l, a, b),
+                f"classes {a + 1} and {b + 1} lie on one ancestral "
+                f"path but are both unmasked at level {l + 1}",
+            ))
+    return out

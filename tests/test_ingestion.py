@@ -1,8 +1,14 @@
 """Edge list parsing and the synthetic tree generator."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+import oracles
 from helpers import TOY_EDGE_LINES, TOY_PARENTS, random_taxonomy
 from semtree import (
     CyclicTaxonomy,
@@ -10,6 +16,7 @@ from semtree import (
     EdgeListError,
     MultipleParents,
     ParameterError,
+    SemtreeError,
     SyntheticTreeSpec,
     Taxonomy,
     class_depths,
@@ -114,6 +121,116 @@ class TestMultiParent:
     def test_reject_names_the_line(self):
         with pytest.raises(MultipleParents, match="line 4"):
             parse_edge_list(self.LINES, policy="reject")
+
+
+# Spellings int() reads as the same id, and tokens it refuses or that
+# str.split() breaks apart.
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+_SPELLINGS = [
+    str,
+    lambda v: "+" + str(v),
+    lambda v: "00" + str(v),
+    lambda v: "_".join(str(v)),
+    lambda v: str(v).translate(_ARABIC_INDIC),
+]
+_ODD_TOKENS = [
+    "0", "-0", "-3", "+7", "007", "1_0", "1__0", "_1", "x", "1.5", "0x1",
+    "\u0663", "\uff17", "9" * 19, "1" + "0" * 18, "9223372036854775808",
+    "1" * 5000, "-" + "9" * 19, "1#2",
+]
+_SEPARATORS = [" ", "\t", "  ", "\xa0", "\u2003", "\u3000", "\x0b", "\x0c", "\x1c", "\x85"]
+
+
+@hs.composite
+def edge_lists(draw):
+    """Lines of a shuffled forest or a parent array with cycles, then
+    duplicated, re-parented, dropped, respelled and commented lines."""
+    n = draw(hs.integers(0, 9))
+    forest = draw(hs.booleans())
+    parents = [draw(hs.integers(-1, c - 1 if forest else n - 1)) for c in range(n)]
+    perm = draw(hs.permutations(range(n)))
+    rows = [[perm[c] + 1] + ([perm[p] + 1] if p != -1 else []) for c, p in enumerate(parents)]
+    rows = draw(hs.permutations(rows))
+    ids = hs.integers(1, n + 1)
+    for _ in range(draw(hs.integers(0, 5))):
+        what = draw(hs.sampled_from(
+            ["dup", "parent", "root", "drop", "odd", "extra", "comment", "blank", "gap"]
+        ))
+        at = draw(hs.integers(0, len(rows)))
+        if what == "dup" and rows:
+            rows.insert(at, list(draw(hs.sampled_from(rows))))
+        elif what == "parent":
+            rows.insert(at, [draw(ids), draw(ids)])
+        elif what == "root":
+            rows.insert(at, [draw(ids)])
+        elif what == "drop" and rows:
+            rows.pop(at % len(rows))
+        elif what == "odd" and rows and rows[at % len(rows)]:
+            row = rows[at % len(rows)]
+            row[draw(hs.integers(0, len(row) - 1))] = draw(hs.sampled_from(_ODD_TOKENS))
+        elif what == "extra" and rows:
+            rows[at % len(rows)].append(draw(ids))
+        elif what == "comment":
+            rows.insert(at, ["#", draw(ids), "# 3 # 4"])
+        elif what == "blank":
+            rows.insert(at, [])
+        elif what == "gap":
+            rows.insert(at, [n + draw(hs.integers(2, 4))])
+    lines = []
+    for row in rows:
+        words = [
+            draw(hs.sampled_from(_SPELLINGS))(w) if isinstance(w, int) and w > 0 else str(w)
+            for w in row
+        ]
+        seps = [draw(hs.sampled_from(_SEPARATORS)) for _ in words]
+        line = "".join(w + s for w, s in zip(words, seps))
+        if draw(hs.booleans()):
+            line = draw(hs.sampled_from(_SEPARATORS)) + line
+        if draw(hs.integers(0, 4)) == 0:
+            line += "# tail 1 2 3"
+        lines.append(line)
+    return lines
+
+
+def _outcome(parse, source, policy):
+    try:
+        parsed = parse(source, policy)
+    except SemtreeError as e:
+        return type(e), str(e)
+    return parsed.taxonomy.parents.dtype, parsed.taxonomy.parents.tolist(), parsed.resolutions
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    lines=edge_lists(),
+    ends=hs.lists(hs.sampled_from(["\n", "\r\n", "\r"]), min_size=1),
+    as_file=hs.booleans(),
+    merge=hs.integers(-1, 9),
+    last_end=hs.booleans(),
+)
+def test_parse_fuzz_matches_the_line_loop(lines, ends, as_file, merge, last_end):
+    if as_file:
+        text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+        if not last_end and lines:
+            text = text[: -len(ends[(len(lines) - 1) % len(ends)])]
+        with tempfile.TemporaryDirectory() as tmp:
+            source = os.path.join(tmp, "edges.txt")
+            with open(source, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+            for policy in ("first", "reject"):
+                assert _outcome(parse_edge_list, source, policy) == _outcome(
+                    oracles.parse_edge_list_reference, source, policy
+                )
+        return
+    if 0 <= merge < len(lines) - 1:
+        # One element holding two lines still counts as one line.
+        lines[merge : merge + 2] = [lines[merge] + ends[0] + lines[merge + 1]]
+    if last_end:
+        lines = [line + "\n" for line in lines]
+    for policy in ("first", "reject"):
+        assert _outcome(parse_edge_list, lines, policy) == _outcome(
+            oracles.parse_edge_list_reference, lines, policy
+        )
 
 
 class TestWriteEdgeList:

@@ -305,6 +305,32 @@ class TestValidate:
                     assert masks[row, paths[c, : level_of[c]]].all()
         assert shared > 50
 
+    def test_reports_match_the_whole_matrix_reference(self):
+        # Seeded corruptions as above: every report must equal the
+        # reference's, kind, where, message and order alike.
+        rng = np.random.default_rng(23)
+        kinds = set()
+        for _ in range(1200):
+            enc = st.encode(random_taxonomy(rng, max_classes=30, max_depth=5))
+            n, L = enc.num_classes, enc.num_levels
+            masks, paths, level_of = enc.masks.copy(), enc.paths.copy(), enc.level_of.copy()
+            for _ in range(int(rng.integers(0, 4))):
+                what = rng.integers(3)
+                if what == 0:
+                    masks[rng.integers(L), rng.integers(n)] ^= True
+                elif what == 1:
+                    paths[rng.integers(n), rng.integers(L)] = rng.integers(-2, n + 1)
+                else:
+                    level_of[rng.integers(n)] = rng.integers(-1, L + 1)
+            bad = self._rebuild(enc, masks=masks, paths=paths, level_of=level_of)
+            got = [(v.kind, v.where, v.message) for v in st.validate(bad).violations]
+            assert got == oracles.validate_reference(bad)
+            kinds.update(kind for kind, _, _ in got)
+        assert kinds == {
+            "level-range", "unmask-count", "level-mismatch", "path-range",
+            "path-pad-tail", "path-endpoint", "prefix", "shared-path",
+        }
+
     def test_messages_are_one_based(self, toy_encoding):
         paths = toy_encoding.paths.copy()
         paths[6, 0] = 55
