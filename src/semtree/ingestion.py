@@ -12,6 +12,7 @@ attaches uniformly (or depth-biased) below it.
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
@@ -22,6 +23,7 @@ from .errors import (
     EdgeListError,
     MultipleParents,
     ParameterError,
+    SemtreeError,
 )
 from .tree import NO_PARENT, Taxonomy, class_depths
 
@@ -39,6 +41,77 @@ class ParsedTaxonomy(NamedTuple):
     resolutions: tuple[MultiParentResolution, ...]
 
 
+# The ASCII characters str.split() splits on; other whitespace is turned
+# into spaces before the text becomes an array of character codes.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = True
+_NON_ASCII_SPACE = re.compile(r"[^\S\x00-\x7f]")
+_MAX_DIGITS = 18  # every 18-digit id fits in int64
+# int() values at or above this get codes above it that keep their order.
+_BIG = 1 << 62
+
+
+def _char_codes(text: str) -> np.ndarray:
+    """One uint8 per character of ``text``; non-ASCII characters become
+    a space (whitespace) or 255 (anything else)."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    text = _NON_ASCII_SPACE.sub(" ", text)
+    wide = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    return np.minimum(wide, 255).astype(np.uint8)
+
+
+def _comments(codes: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Mask of the characters from each line's first ``#`` to its end."""
+    at = np.flatnonzero(codes == ord("#"))
+    line = np.searchsorted(ends, at)
+    first = np.diff(line, prepend=-1) != 0
+    at, stop = at[first], np.append(ends, codes.size)[line[first]]
+    edges = np.zeros(codes.size + 1, dtype=np.int8)
+    edges[at] = 1
+    edges[stop] -= 1
+    return np.cumsum(edges[:-1], dtype=np.int8).view(bool)
+
+
+def _token_values(text, codes, space, starts, stops):
+    """Each token's id as an order-keeping int64 code, and which parsed.
+
+    Tokens of at most ``_MAX_DIGITS`` ASCII digits are read by Horner's
+    rule, one array step per digit position. The rest go through
+    ``int()`` one by one, so they are accepted or refused exactly as
+    ``int()`` does; values of ``_BIG`` and above are replaced by
+    ``_BIG`` plus their rank, values below 1 by at most 0.
+    """
+    digits = codes - np.uint8(ord("0"))
+    odd = np.flatnonzero(~space & (digits > 9))
+    plain = (stops - starts) <= _MAX_DIGITS
+    plain[np.searchsorted(starts, odd, side="right") - 1] = False
+    values = np.zeros(starts.size, dtype=np.int64)
+    ok = np.ones(starts.size, dtype=bool)
+    s, e = starts[plain], stops[plain]
+    v = values[plain]
+    for back in range(int((e - s).max(initial=0)), 0, -1):
+        pos = e - back
+        v = v * 10 + np.where(pos >= s, digits.take(pos, mode="clip"), 0)
+    values[plain] = v
+    big_at, bigs = [], []
+    for i in np.flatnonzero(~plain).tolist():
+        try:
+            value = int(text[starts[i] : stops[i]])
+        except ValueError:
+            ok[i] = False
+            continue
+        if value >= _BIG:
+            big_at.append(i)
+            bigs.append(value)
+        else:
+            values[i] = max(value, -1)
+    if bigs:
+        rank = np.unique(np.array(bigs, dtype=object), return_inverse=True)[1]
+        values[big_at] = _BIG + rank
+    return values, ok
+
+
 def parse_edge_list(
     source: Union[str, os.PathLike, Iterable[str]],
     policy: str = "first",
@@ -49,93 +122,138 @@ def parse_edge_list(
     one parent: ``"first"`` keeps the earliest assignment and records
     the others, ``"reject"`` raises ``MultipleParents``. Exact duplicate
     lines are an error under either policy.
+
+    A file is read once, as UTF-8 text with universal newlines; an
+    iterable gives one line per element, even when an element holds a
+    newline. The text is then parsed by array passes over its character
+    codes: token bounds, their lines, their values and every fault, with
+    Python only for tokens ``int()`` must judge (signs, underscores,
+    non-ASCII digits, more than 18 digits). An error on a line names the
+    earliest faulty line, 1-based, with the fault a line-by-line reading
+    would meet first there; then come an empty list, an undeclared
+    parent and a gap in the ids, in that order.
     """
     if policy not in ("first", "reject"):
         raise ParameterError(f"unknown multi-parent policy {policy!r}")
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as f:
-            lines = f.readlines()
+            text = f.read()
+        codes = _char_codes(text)
+        ends = np.flatnonzero(codes == ord("\n"))
     else:
         lines = list(source)
+        text = "\n".join(lines)
+        codes = _char_codes(text)
+        sizes = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+        ends = np.cumsum(sizes + 1) - 1  # where each element's separator sits
 
-    assignment: dict[int, int] = {}  # child id -> parent id, -1 for root
-    order: list[int] = []
-    parents_seen: set[int] = set()
-    resolutions: list[MultiParentResolution] = []
+    space = _SPACE[codes]
+    if "#" in text:
+        space |= _comments(codes, ends)
+    bounds = np.diff(space.view(np.int8), prepend=np.int8(1), append=np.int8(1))
+    starts, stops = np.flatnonzero(bounds == -1), np.flatnonzero(bounds == 1)
+    values, ok = _token_values(text, codes, space, starts, stops)
 
-    def parse_id(token: str, lineno: int) -> int:
-        try:
-            value = int(token)
-        except ValueError:
-            raise EdgeListError(
-                f"line {lineno}: {token!r} is not an integer class id"
-            ) from None
-        if value < 1:
-            raise EdgeListError(f"line {lineno}: class ids start at 1, got {value}")
-        return value
+    def word(i):
+        return text[starts[i] : stops[i]]
 
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if len(tokens) > 2:
-            raise EdgeListError(
-                f"line {lineno}: expected 'child parent' or a bare root id, "
-                f"got {len(tokens)} fields"
-            )
-        child = parse_id(tokens[0], lineno)
-        parent = parse_id(tokens[1], lineno) if len(tokens) == 2 else None
-        key = -1 if parent is None else parent
-        if child in assignment:
-            if assignment[child] == key:
-                raise EdgeListError(
-                    f"line {lineno}: duplicate declaration of class {child}"
-                )
-            if policy == "reject":
-                raise MultipleParents(
-                    f"line {lineno}: class {child} already has "
-                    f"{'a parent' if assignment[child] != -1 else 'a root line'}, "
-                    f"cannot also assign "
-                    f"{'parent ' + str(parent) if parent is not None else 'root'}"
-                )
-            resolutions.append(
-                MultiParentResolution(
-                    child=child - 1,
-                    kept=assignment[child] - 1 if assignment[child] != -1 else NO_PARENT,
-                    dropped=key - 1 if key != -1 else NO_PARENT,
-                )
-            )
-            continue
-        assignment[child] = key
-        order.append(child)
-        if parent is not None:
-            parents_seen.add(parent)
+    token_line = np.searchsorted(ends, starts)
 
-    if not assignment:
-        raise EdgeListError("edge list declares no classes")
-    undeclared = parents_seen - assignment.keys()
-    if undeclared:
-        p = min(undeclared)
-        child = next(c for c in order if assignment[c] == p)
-        raise DanglingEdge(
-            f"parent {p} of class {child} is never declared as a class"
+    # One record per non-blank line: its first token, field count, child
+    # and key (the parent's id, 0 for a root line).
+    head = np.flatnonzero(np.diff(token_line, prepend=-1))
+    fields = np.diff(head, append=starts.size)
+    paired = fields >= 2
+    second = np.minimum(head + 1, starts.size - 1)
+    child = values[head]
+    key = np.where(paired, values[second], 0)
+    bad = ~ok | (values < 1)
+    ids, group = np.unique(child, return_inverse=True)
+    first = np.full(ids.size, head.size)
+    np.minimum.at(first, group, np.arange(head.size))
+    first_of = first[group]  # the record that first declared each child
+    repeat = first_of != np.arange(head.size)
+    duplicate = repeat & (key == key[first_of])
+    fault = (fields > 2) | bad[head] | (paired & bad[second]) | duplicate
+    if policy == "reject":
+        fault |= repeat
+    if fault.any():
+        r = int(np.argmax(fault))
+        words = [word(i) for i in range(head[r], head[r] + min(fields[r], 2))]
+        raise _line_error(
+            int(token_line[head[r]]) + 1,
+            int(fields[r]),
+            words,
+            bool(key[first_of[r]]),
+            bool(duplicate[r]),
         )
-    n = len(assignment)
-    if set(assignment) != set(range(1, n + 1)):
-        missing = min(set(range(1, n + 1)) - set(assignment))
+
+    if not head.size:
+        raise EdgeListError("edge list declares no classes")
+    declared = np.flatnonzero(~repeat)
+    keys = key[declared]
+    dangling = (keys > 0) & ~np.isin(keys, ids)
+    if dangling.any():
+        r = declared[np.argmax(keys == keys[dangling].min())]
+        raise DanglingEdge(
+            f"parent {int(word(head[r] + 1))} of class {int(word(head[r]))} "
+            f"is never declared as a class"
+        )
+    n = ids.size
+    if ids[-1] != n:
+        missing = int(np.argmax(ids != np.arange(1, n + 1))) + 1
         raise EdgeListError(
             f"class ids must be contiguous from 1: {n} classes declared "
             f"but id {missing} is missing"
         )
 
     parents = np.full(n, NO_PARENT, dtype=np.int32)
-    for child, key in assignment.items():
-        if key != -1:
-            parents[child - 1] = key - 1
+    parents[child[declared] - 1] = keys - 1  # a root's key 0 becomes NO_PARENT
     class_depths(parents)  # raises CyclicTaxonomy on a loop
+    moved = np.flatnonzero(repeat)
+    resolutions = map(
+        MultiParentResolution._make,
+        zip(
+            (child[moved] - 1).tolist(),
+            (key[first_of[moved]] - 1).tolist(),
+            (key[moved] - 1).tolist(),
+        ),
+    )
     return ParsedTaxonomy(
         taxonomy=Taxonomy(parents=parents),
         resolutions=tuple(resolutions),
+    )
+
+
+def _line_error(
+    lineno: int, fields: int, words: list[str], had_parent: bool, duplicate: bool
+) -> SemtreeError:
+    """The error the line-by-line reading raises on line ``lineno``.
+
+    ``words`` are the line's tokens when it has at most two;
+    ``had_parent`` tells whether the child's first declaration named a
+    parent, and ``duplicate`` whether this line repeats it exactly.
+    """
+    if fields > 2:
+        return EdgeListError(
+            f"line {lineno}: expected 'child parent' or a bare root id, "
+            f"got {fields} fields"
+        )
+    ids = []
+    for token in words:
+        try:
+            value = int(token)
+        except ValueError:
+            return EdgeListError(f"line {lineno}: {token!r} is not an integer class id")
+        if value < 1:
+            return EdgeListError(f"line {lineno}: class ids start at 1, got {value}")
+        ids.append(value)
+    if duplicate:
+        return EdgeListError(f"line {lineno}: duplicate declaration of class {ids[0]}")
+    return MultipleParents(
+        f"line {lineno}: class {ids[0]} already has "
+        f"{'a parent' if had_parent else 'a root line'}, cannot also assign "
+        f"{'parent ' + str(ids[1]) if len(ids) == 2 else 'root'}"
     )
 
 

@@ -49,6 +49,14 @@ class TestParseEdgeList:
             parsed = parse_edge_list(["1", f"2{sep}1"])
             np.testing.assert_array_equal(parsed.taxonomy.parents, [-1, 0])
 
+    def test_every_whitespace_str_split_knows_separates_ids(self):
+        spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+        for sep in spaces:
+            parsed = parse_edge_list(["1", f"2{sep}1{sep}"])
+            np.testing.assert_array_equal(parsed.taxonomy.parents, [-1, 0])
+        with pytest.raises(EdgeListError, match="not an integer"):
+            parse_edge_list(["1", "2\u200b1"])  # zero-width space is not whitespace
+
     def test_declaration_order_is_free(self):
         parsed = parse_edge_list(["2 1", "1"])
         np.testing.assert_array_equal(parsed.taxonomy.parents, [-1, 0])
