@@ -256,24 +256,38 @@ def validate(enc: TreeEncoding) -> ValidationReport:
             )
         )
 
-    # Path rows: real prefix of valid ids, PAD tail, class as last real entry.
-    cols = np.arange(L)[None, :]
-    real = cols <= level_of[:, None]
-    in_range = (paths >= 0) & (paths < n)
-    for c, l in zip(*np.nonzero(real & ~in_range)):
+    # Path rows: real prefix of valid ids, PAD tail, class as last real
+    # entry; and each row is its parent's row plus the class itself. The
+    # row checks run one column at a time, so no (n, L) temporary is made.
+    deep = np.nonzero(level_of > 0)[0]
+    par = paths[deep, level_of[deep] - 1]
+    par_valid = (par >= 0) & (par < n)  # the rest are path-range
+    good = deep[par_valid]
+    par = par[par_valid].astype(np.intp)
+    good_depth = level_of[good]
+    rows_equal = np.ones(good.size, dtype=bool)
+    out_of_range, in_tail = [], []
+    for l in range(L):
+        col = np.ascontiguousarray(paths[:, l])  # 2-3x faster than strided
+        real = level_of >= l
+        # As uint32, negative ids compare above every class id.
+        out_of_range.append(np.flatnonzero(real & (col.view(np.uint32) >= n)))
+        in_tail.append(np.flatnonzero(~real & (col != PAD)))
+        rows_equal &= (good_depth <= l) | (col[good] == col[par])
+    for c, l in _row_major(out_of_range):
         add(
             Violation(
                 "path-range",
-                (int(c), int(l)),
+                (c, l),
                 f"path row {c + 1} has non-class entry {int(paths[c, l])} "
                 f"at level {l + 1}",
             )
         )
-    for c, l in zip(*np.nonzero(~real & (paths != PAD))):
+    for c, l in _row_major(in_tail):
         add(
             Violation(
                 "path-pad-tail",
-                (int(c), int(l)),
+                (c, l),
                 f"path row {c + 1} should be padding from level "
                 f"{int(level_of[c]) + 2} on, found {int(paths[c, l])} "
                 f"at level {l + 1}",
@@ -291,25 +305,16 @@ def validate(enc: TreeEncoding) -> ValidationReport:
         )
 
     # Prefix property: a path is its parent's path plus the class itself.
-    deep = np.nonzero(level_of > 0)[0]
-    if deep.size:
-        par = paths[deep, level_of[deep] - 1]
-        par_valid = (par >= 0) & (par < n)  # the rest are path-range
-        good = deep[par_valid]
-        par = par[par_valid].astype(np.intp)
-        depth_ok = level_of[par] == level_of[good] - 1
-        # Compare the shared prefix of each (child, parent) row pair.
-        shared = cols < level_of[good][:, None]
-        rows_equal = np.all(~shared | (paths[good] == paths[par]), axis=1)
-        for c, p in zip(good[~(depth_ok & rows_equal)], par[~(depth_ok & rows_equal)]):
-            add(
-                Violation(
-                    "prefix",
-                    (int(c), int(p)),
-                    f"path row {c + 1} does not extend the path of its "
-                    f"parent {p + 1}",
-                )
+    wrong = ~((level_of[par] == good_depth - 1) & rows_equal)
+    for c, p in zip(good[wrong], par[wrong]):
+        add(
+            Violation(
+                "prefix",
+                (int(c), int(p)),
+                f"path row {c + 1} does not extend the path of its "
+                f"parent {p + 1}",
             )
+        )
 
     # With no violation so far, each class is unmasked only at its own
     # depth and paths[c, j] has depth j (endpoint, then prefix by induction
@@ -319,6 +324,7 @@ def validate(enc: TreeEncoding) -> ValidationReport:
 
     # Depth-partition validity: no two unmasked classes in one level row
     # may lie on the same ancestral path.
+    cols = np.arange(L)[None, :]
     for l in range(L):
         members = np.nonzero(~masks[l])[0]
         if members.size == 0:
@@ -341,6 +347,15 @@ def validate(enc: TreeEncoding) -> ValidationReport:
             )
 
     return report
+
+
+def _row_major(rows_per_column: list[np.ndarray]):
+    """(row, column) pairs, as ints in row-major order, from the flagged
+    rows of each column in turn."""
+    rows = np.concatenate(rows_per_column)
+    cols = np.repeat(np.arange(len(rows_per_column)), [r.size for r in rows_per_column])
+    order = np.lexsort((cols, rows))
+    return zip(rows[order].tolist(), cols[order].tolist())
 
 
 def storage_bytes(enc: TreeEncoding, s_bool: int, s_int: int) -> int:

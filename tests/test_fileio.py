@@ -54,6 +54,18 @@ class TestEncodingFiles:
         with pytest.raises(FormatError, match="tree.enc"):
             fileio.read_encoding(p)
 
+    def test_checked_read_peaks_under_twice_the_file(self, full_scale_tree, tmp_path):
+        p = tmp_path / "c08.enc"
+        fileio.write_encoding(full_scale_tree["encoding"], p)
+        tracemalloc.start()
+        try:
+            fileio.read_encoding(p, check=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The arrays read are 1.0x the file; validate's checks add the rest.
+        assert peak < 2 * p.stat().st_size
+
 
 class TestScoreFiles:
     def test_binary_round_trip(self, scores, tmp_path):
