@@ -39,16 +39,10 @@ class Taxonomy:
         parents = np.asarray(self.parents)
         if parents.ndim != 1 or not np.issubdtype(parents.dtype, np.integer):
             raise ParameterError("parents must be a 1-d integer array")
-        n = parents.size
-        if n == 0:
+        if parents.size == 0:
             raise ParameterError("taxonomy must declare at least one class")
         # Range-check before the int32 cast, which would wrap large ids.
-        bad = (parents < NO_PARENT) | (parents >= n)
-        if bad.any():
-            c = int(np.argmax(bad))
-            raise ParameterError(
-                f"parent {int(parents[c])} of class {c + 1} is not a class id"
-            )
+        _check_parent_ids(parents)
         parents = np.ascontiguousarray(parents, dtype=np.int32)
         object.__setattr__(self, "parents", parents)
         parents.flags.writeable = False
@@ -61,6 +55,16 @@ class Taxonomy:
         if not isinstance(other, Taxonomy):
             return NotImplemented
         return np.array_equal(self.parents, other.parents)
+
+
+def _check_parent_ids(parents: np.ndarray) -> None:
+    """Refuse a parent that is neither ``NO_PARENT`` nor a class id."""
+    bad = (parents < NO_PARENT) | (parents >= parents.size)
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise ParameterError(
+            f"parent {int(parents[c])} of class {c + 1} is not a class id"
+        )
 
 
 def _as_int32(name: str, a) -> np.ndarray:
@@ -151,7 +155,9 @@ def class_depths(parents: np.ndarray) -> np.ndarray:
     ``n.bit_length()`` rounds of two length-n gathers. A class that never
     reaches the sentinel lies on or below a cycle, and ``CyclicTaxonomy``
     names the first class that the walk up from the smallest one repeats.
+    A parent that is not a class id raises ``ParameterError``.
     """
+    _check_parent_ids(parents)
     n = parents.size
     up = np.append(np.where(parents == NO_PARENT, n, parents), n).astype(np.intp)
     depth = (up != n).astype(np.int32)

@@ -146,6 +146,15 @@ class TestClassDepths:
         with pytest.raises(st.CyclicTaxonomy, match=rf"^cycle through class {named}$"):
             st.class_depths(np.array(parents, dtype=np.int32))
 
+    def test_rejects_parent_below_no_parent(self):
+        # -3 would index from the end and give depths [0, 1, 2].
+        with pytest.raises(st.ParameterError, match=r"^parent -3 of class 3 is not a class id$"):
+            st.class_depths(np.array([-1, 0, -3], dtype=np.int32))
+
+    def test_rejects_parent_past_the_last_class(self):
+        with pytest.raises(st.ParameterError, match=r"^parent 3 of class 2 is not a class id$"):
+            st.class_depths(np.array([-1, 3, 0], dtype=np.int32))
+
     def test_matches_reference_on_shuffled_forests(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
