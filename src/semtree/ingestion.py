@@ -46,9 +46,10 @@ class ParsedTaxonomy(NamedTuple):
 _SPACE = np.zeros(256, dtype=bool)
 _SPACE[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = True
 _NON_ASCII_SPACE = re.compile(r"[^\S\x00-\x7f]")
-_MAX_DIGITS = 18  # every 18-digit id fits in int64
-# int() values at or above this get codes above it that keep their order.
+# int() values at or above _BIG get codes above it that keep their order;
+# every id of at most _MAX_DIGITS digits lies below it.
 _BIG = 1 << 62
+_MAX_DIGITS = 18
 
 
 def _char_codes(text: str) -> np.ndarray:
@@ -164,7 +165,7 @@ def parse_edge_list(
     head = np.flatnonzero(np.diff(token_line, prepend=-1))
     fields = np.diff(head, append=starts.size)
     paired = fields >= 2
-    second = np.minimum(head + 1, starts.size - 1)
+    second = np.minimum(head + 1, starts.size - 1)  # in bounds for a last bare id
     child = values[head]
     key = np.where(paired, values[second], 0)
     bad = ~ok | (values < 1)
@@ -177,6 +178,8 @@ def parse_edge_list(
     fault = (fields > 2) | bad[head] | (paired & bad[second]) | duplicate
     if policy == "reject":
         fault |= repeat
+    # A record's flags depend only on earlier records, and those before the
+    # first flagged one are sound, so it is where the line loop would stop.
     if fault.any():
         r = int(np.argmax(fault))
         words = [word(i) for i in range(head[r], head[r] + min(fields[r], 2))]

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,21 @@ def test_parse_fuzz_matches_the_line_loop(lines, ends, as_file, merge, last_end)
         assert _outcome(parse_edge_list, lines, policy) == _outcome(
             oracles.parse_edge_list_reference, lines, policy
         )
+
+
+def test_full_scale_parse_peak(full_scale_tree, tmp_path):
+    # 117,659 classes over 20 levels: a 1.4 MB file. The line loop
+    # peaked at 36 MB under tracemalloc.
+    p = tmp_path / "c08.edges"
+    write_edge_list(full_scale_tree["taxonomy"], p)
+    tracemalloc.start()
+    try:
+        parsed = parse_edge_list(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.taxonomy == full_scale_tree["taxonomy"]
+    assert peak < 32 << 20
 
 
 class TestWriteEdgeList:
