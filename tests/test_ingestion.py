@@ -134,7 +134,7 @@ class TestMultiParent:
 
 # Spellings int() reads as the same id, and tokens it refuses or that
 # str.split() breaks apart.
-_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 _SPELLINGS = [
     str,
     lambda v: "+" + str(v),
@@ -158,7 +158,9 @@ def edge_lists(draw):
     forest = draw(hs.booleans())
     parents = [draw(hs.integers(-1, c - 1 if forest else n - 1)) for c in range(n)]
     perm = draw(hs.permutations(range(n)))
-    rows = [[perm[c] + 1] + ([perm[p] + 1] if p != -1 else []) for c, p in enumerate(parents)]
+    rows = [
+        [perm[c] + 1] + ([perm[p] + 1] if p != -1 else []) for c, p in enumerate(parents)
+    ]
     rows = draw(hs.permutations(rows))
     ids = hs.integers(1, n + 1)
     for _ in range(draw(hs.integers(0, 5))):
@@ -206,7 +208,8 @@ def _outcome(parse, source, policy):
         parsed = parse(source, policy)
     except SemtreeError as e:
         return type(e), str(e)
-    return parsed.taxonomy.parents.dtype, parsed.taxonomy.parents.tolist(), parsed.resolutions
+    parents = parsed.taxonomy.parents
+    return parents.dtype, parents.tolist(), parsed.resolutions
 
 
 @settings(max_examples=400, deadline=None)
