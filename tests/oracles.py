@@ -83,6 +83,17 @@ def partition_elementwise(parents, scores, mask_value):
     return out
 
 
+def partition_by_columns(enc, scores, mask_value):
+    """The column-at-a-time scatter ``partition_scores`` used to make."""
+    scores = np.asarray(scores)
+    if not np.issubdtype(scores.dtype, np.floating):
+        scores = scores.astype(np.float64)
+    (b, n), L = scores.shape, enc.num_levels
+    data = np.full((b, L * n), mask_value, dtype=scores.dtype)
+    data[:, enc.level_of.astype(np.intp) * n + np.arange(n)] = scores
+    return data.reshape(b, L, n)
+
+
 def map_labels_elementwise(parents, labels, pad=-1):
     L = num_levels_of(parents)
     rows = []
@@ -113,6 +124,17 @@ def softmax_dense(scores_row, members):
     for c, v in zip(members, p):
         full[c] = v
     return full
+
+
+def softmax_levels_reference(parts):
+    """The per-level softmax with its three dense temporaries: the shift,
+    its exponential and the quotient."""
+    data = parts.data
+    if np.isnan(parts.mask_value):
+        data = np.where(np.isnan(data), -np.inf, data)
+    m = data.max(axis=2, keepdims=True)
+    e = np.exp(data - m)
+    return e / e.sum(axis=2, keepdims=True)
 
 
 def cross_entropy_dense(scores_row, members, label):
@@ -301,6 +323,18 @@ def parse_edge_list_reference(source, policy="first"):
         taxonomy=Taxonomy(parents=np.array(parents)),
         resolutions=tuple(resolutions),
     )
+
+
+def write_edge_list_reference(taxonomy, path):
+    """The edge-list writer as one write per class."""
+    parents = taxonomy.parents
+    with open(path, "w", encoding="utf-8") as f:
+        for c in range(taxonomy.num_classes):
+            p = int(parents[c])
+            if p == -1:
+                f.write(f"{c + 1}\n")
+            else:
+                f.write(f"{c + 1}\t{p + 1}\n")
 
 
 def validate_reference(enc):

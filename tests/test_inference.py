@@ -8,6 +8,7 @@ from helpers import random_taxonomy
 from semtree import (
     CorruptEncoding,
     LabelError,
+    NEG_INF,
     LevelProbabilities,
     ParameterError,
     PartitionedScores,
@@ -96,6 +97,25 @@ class TestSoftmaxLevels:
         )
         with pytest.raises(UnsupportedMaskValue):
             softmax_levels(parts)
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float16, np.float32, np.float64, np.longdouble, np.int64]
+    )
+    @pytest.mark.parametrize("mask_value", [NEG_INF, float("nan")])
+    def test_bit_identical_to_three_temporary_reference(self, dtype, mask_value):
+        rng = np.random.default_rng(50)
+        data = (rng.standard_normal((4, 5, 11)) * 6).astype(dtype)
+        if np.issubdtype(dtype, np.floating):
+            # Mask about half the entries, leaving each slice one live class.
+            masked = rng.random(data.shape) < 0.5
+            live = rng.integers(0, 11, size=(4, 5))
+            masked[np.arange(4)[:, None], np.arange(5), live] = False
+            data[masked] = mask_value
+        parts = PartitionedScores(data=data, mask_value=mask_value)
+        got = softmax_levels(parts).data
+        want = oracles.softmax_levels_reference(parts)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_fully_masked_level_rejected(self):
         parts = PartitionedScores(data=np.full((1, 1, 3), -np.inf))
@@ -389,3 +409,22 @@ class TestLevenshteinDecode:
             levenshtein_decode(
                 toy_encoding, naive, k=2, probs=LevelProbabilities(data=data)
             )
+
+
+def test_second_call_on_one_encoding_is_identical():
+    # The first decode on an encoding computes its level layout; the second
+    # reads it back.
+    rng = np.random.default_rng(52)
+    for _ in range(10):
+        tax = random_taxonomy(rng, max_classes=80, max_depth=6)
+        probs = tied_probs(rng, encode(tax))
+        naive = naive_decode(probs)
+        for decode in (
+            lambda enc: beam_decode(enc, probs, k=4),
+            lambda enc: beam_decode(enc, probs, k=4, length_normalize=True),
+            lambda enc: levenshtein_decode(enc, naive, k=4),
+            lambda enc: levenshtein_decode(enc, naive, k=4, probs=probs),
+        ):
+            enc = encode(tax)
+            first = decode(enc)
+            assert decode(enc) == first

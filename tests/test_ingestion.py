@@ -275,6 +275,20 @@ class TestWriteEdgeList:
             write_edge_list(tax, p)
             assert parse_edge_list(p).taxonomy == tax
 
+    def test_bytes_equal_one_write_per_class(self, tmp_path, full_scale_tree):
+        rng = np.random.default_rng(53)
+        trees = {
+            "toy": Taxonomy(parents=TOY_PARENTS),
+            "roots": Taxonomy(parents=np.full(12, -1)),
+            "random": random_taxonomy(rng, max_classes=1500),
+            "c08": full_scale_tree["taxonomy"],
+        }
+        for name, tax in trees.items():
+            got, want = tmp_path / f"{name}.got", tmp_path / f"{name}.want"
+            write_edge_list(tax, got)
+            oracles.write_edge_list_reference(tax, want)
+            assert got.read_bytes() == want.read_bytes(), name
+
     def test_output_is_one_based(self, tmp_path):
         p = tmp_path / "ids.txt"
         write_edge_list(Taxonomy(parents=np.array([-1, 0])), p)

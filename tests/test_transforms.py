@@ -85,6 +85,20 @@ class TestPartitionScores:
                     assert got.data.dtype == out
                     assert np.array_equal(got.data, want, equal_nan=True)
 
+    @pytest.mark.parametrize(
+        "dtype", [np.float16, np.float32, np.float64, np.longdouble]
+    )
+    @pytest.mark.parametrize("fill", [NEG_INF, float("nan"), -7.5])
+    def test_equals_column_scatter(self, dtype, fill):
+        rng = np.random.default_rng(27)
+        for _ in range(5):
+            enc = encode(random_taxonomy(rng, max_classes=500, max_depth=7))
+            scores = rng.standard_normal((9, enc.num_classes)).astype(dtype)
+            got = partition_scores(enc, scores, mask_value=fill)
+            want = oracles.partition_by_columns(enc, scores, fill)
+            assert got.data.dtype == want.dtype
+            assert np.array_equal(got.data, want, equal_nan=True)
+
     def test_preserves_float32(self, toy_encoding):
         parts = partition_scores(toy_encoding, toy_scores())
         assert parts.data.dtype == np.float32
