@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
     UnsupportedMaskValue,
 )
-from .tree import TreeEncoding, recover_parents
+from .tree import TreeEncoding
 from .transforms import NEG_INF, PartitionedScores
 
 
@@ -76,7 +76,10 @@ def softmax_levels(parts: PartitionedScores) -> LevelProbabilities:
     """Turn each depth slice into a probability distribution.
 
     Requires ``-inf`` or NaN masking: either drops out of the softmax
-    exactly, whereas a finite fill would soak up probability mass.
+    exactly, whereas a finite fill would soak up probability mass. Float
+    input keeps its dtype and integer input gives float64. The output is
+    the one (b, L, n) array of that dtype made, so the peak is about the
+    output's size; the checks add a boolean array of the same shape.
     """
     mask_value = parts.mask_value
     if not (mask_value == NEG_INF or np.isnan(mask_value)):
@@ -84,7 +87,9 @@ def softmax_levels(parts: PartitionedScores) -> LevelProbabilities:
             f"softmax needs -inf or NaN masking, got {mask_value!r}"
         )
     data = parts.data
-    if np.isnan(mask_value):
+    if np.issubdtype(data.dtype, np.integer):
+        data = data.astype(np.float64)
+    elif np.isnan(mask_value):
         data = np.where(np.isnan(data), NEG_INF, data)
     live = (data > NEG_INF).any(axis=2)
     if not live.all():
@@ -93,9 +98,12 @@ def softmax_levels(parts: PartitionedScores) -> LevelProbabilities:
             f"sample {b}, level {l + 1}: every class is masked out"
         )
     m = data.max(axis=2, keepdims=True)
-    e = np.exp(data - m)
-    probs = e / e.sum(axis=2, keepdims=True)
-    return LevelProbabilities(data=probs)
+    # One (b, L, n) buffer: the shift goes into a copy made above, or makes
+    # the buffer; exp and the division then work in place.
+    e = np.subtract(data, m, out=None if data is parts.data else data)
+    np.exp(e, out=e)
+    e /= e.sum(axis=2, keepdims=True)
+    return LevelProbabilities(data=e)
 
 
 def naive_decode(probs: LevelProbabilities) -> np.ndarray:
@@ -107,25 +115,11 @@ def naive_decode(probs: LevelProbabilities) -> np.ndarray:
     return np.argmax(probs.data, axis=2).astype(np.int64)
 
 
-def _layout(enc: TreeEncoding) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns of the decoders' (batch, n) arrays: the classes sorted by level.
-
-    Returns that order, where each level starts in it (L + 1 entries),
-    and each column's parent column, -1 for roots. Every level is then
-    one slice whose parents lie in the slice before.
-    """
-    order = np.argsort(enc.level_of, kind="stable")
-    starts = np.searchsorted(enc.level_of[order], np.arange(enc.num_levels + 1))
-    # One extra slot maps NO_PARENT (-1) to column -1.
-    col = np.full(enc.num_classes + 1, -1, dtype=np.intp)
-    col[order] = np.arange(enc.num_classes)
-    return order, starts, col[recover_parents(enc)[order]]
-
-
 def _path_scores(
-    enc: TreeEncoding, probs: LevelProbabilities, batch: tuple, order, starts, up
+    enc: TreeEncoding, probs: LevelProbabilities, batch: tuple
 ) -> np.ndarray:
-    """Every path's joint log probability, (batch, n) in layout order.
+    """Every path's joint log probability, (batch, n) in the encoding's
+    level layout.
 
     score[:, c] = score[:, parent(c)] + log p[:, level(c), c], level by
     level: the summation order of a root-to-leaf walk. ``probs`` must
@@ -139,6 +133,7 @@ def _path_scores(
             f"probabilities of shape {probs.data.shape} do not match "
             f"{want} (samples, levels, classes)"
         )
+    order, starts, up, _ = enc._layout
     levels = enc.level_of[order].astype(np.intp)
     # One flat gather gives contiguous rows, which np.partition needs to run
     # fast (over strided rows it is ~7x slower).
@@ -160,19 +155,18 @@ def _path_scores(
 
 
 def _ranked(
-    enc: TreeEncoding, order, primary, key, k: int, score=None, dist=None
+    enc: TreeEncoding, primary, key, k: int, score=None, dist=None
 ) -> list[list[DecodedPath]]:
     """Each sample's k paths smallest by (primary, key, path), best first.
 
-    ``primary`` and ``key`` are (batch, n) in layout order; a None key
-    is the path's rank among all paths in lexicographic order. ``score``
-    and ``dist`` (same layout) fill the fields of the same name.
+    ``primary`` and ``key`` are (batch, n) in the level layout; a None
+    key is the path's rank among all paths in lexicographic order.
+    ``score`` and ``dist`` (same layout) fill the fields of the same name.
     """
+    order, _, _, rank = enc._layout
     b, n = primary.shape
     if key is None:
-        lex = np.empty(n, dtype=np.intp)
-        lex[np.lexsort(enc.paths.T[::-1])] = np.arange(n)
-        key = np.broadcast_to(lex[order], (b, n))
+        key = np.broadcast_to(rank, (b, n))
     # Keep the paths ahead of the k-th primary value, and of those at it, every
     # one whose key is no worse than the one that fills the k-th place: with
     # the ones ahead first, that key is the k-th smallest.
@@ -186,7 +180,8 @@ def _ranked(
     keep = ahead | (at & ~(key > tied[:, k - 1 : k]))
     s, c = np.nonzero(keep)
     classes = order[c]
-    ranked = np.lexsort((*enc.paths[classes].T[::-1], key[s, c], primary[s, c], s))
+    # Paths are distinct, and rank orders them as the paths themselves.
+    ranked = np.lexsort((rank[c], key[s, c], primary[s, c], s))
     top = ranked[np.searchsorted(s, np.arange(b))[:, None] + np.arange(k)]
     s, c, classes = s[top], c[top], classes[top]
     blank = np.full((b, k), None)
@@ -221,12 +216,11 @@ def beam_decode(
     """
     if k < 1:
         raise ParameterError(f"beam width must be at least 1, got {k}")
-    order, starts, up = _layout(enc)
-    score = _path_scores(enc, probs, probs.data.shape[:1], order, starts, up)
+    score = _path_scores(enc, probs, probs.data.shape[:1])
     primary = -score
     if length_normalize:
-        primary /= enc.level_of[order] + 1
-    return _ranked(enc, order, primary, None, k, score=score)
+        primary /= enc.level_of[enc._layout.order] + 1
+    return _ranked(enc, primary, None, k, score=score)
 
 
 def levenshtein(a, b) -> int:
@@ -243,8 +237,10 @@ def levenshtein(a, b) -> int:
     return prev[len(b)]
 
 
-def _scan_levels(enc: TreeEncoding, naive: np.ndarray, order, starts, up) -> np.ndarray:
-    """Every path's edit distance to each naive sequence, (batch, n) in layout order."""
+def _scan_levels(enc: TreeEncoding, naive: np.ndarray) -> np.ndarray:
+    """Every path's edit distance to each naive sequence, (batch, n) in the
+    level layout."""
+    order, starts, up, _ = enc._layout
     b, L = naive.shape
     # A cell is an edit distance between sequences of at most L entries, so
     # it never exceeds L, or L + 1 before a minimum.
@@ -308,10 +304,9 @@ def levenshtein_decode(
     if bad.any():
         i = int(np.argwhere(bad)[0][0])
         raise LabelError(i, int(naive[i][np.argmax(bad[i])]), enc.num_classes)
-    order, starts, up = _layout(enc)
     if probs is None:
-        dist = _scan_levels(enc, naive, order, starts, up)
-        return _ranked(enc, order, dist, None, k, dist=dist)
-    score = _path_scores(enc, probs, naive.shape[:1], order, starts, up)
-    dist = _scan_levels(enc, naive, order, starts, up)
-    return _ranked(enc, order, dist, -score, k, score=score, dist=dist)
+        dist = _scan_levels(enc, naive)
+        return _ranked(enc, dist, None, k, dist=dist)
+    score = _path_scores(enc, probs, naive.shape[:1])
+    dist = _scan_levels(enc, naive)
+    return _ranked(enc, dist, -score, k, score=score, dist=dist)

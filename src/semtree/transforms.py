@@ -118,8 +118,11 @@ def partition_scores(
         raise ParameterError("scores must be finite")
     (b, n), L = scores.shape, enc.num_levels
     data = np.full((b, L * n), mask_value, dtype=scores.dtype)
-    # Class c's score goes to column c of slice level_of[c].
-    data[:, enc.level_of.astype(np.intp) * n + np.arange(n)] = scores
+    # Class c's score goes to column c of slice level_of[c]. Indexing rows
+    # too makes numpy fill one row at a time; ``data[:, idx]`` would fill
+    # one column at a time, touching b cache lines per class.
+    idx = enc.level_of.astype(np.intp) * n + np.arange(n)
+    data[np.arange(b)[:, None], idx] = scores
     return PartitionedScores(data=data.reshape(b, L, n), mask_value=mask_value)
 
 

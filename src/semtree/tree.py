@@ -14,8 +14,9 @@ Class ids are 0-based in memory. File formats and CLI output show them
 1-based; ``display_ids`` / ``from_display`` convert between the two.
 """
 
+import functools
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -81,6 +82,16 @@ def _as_int32(name: str, a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int32)
 
 
+class _Layout(NamedTuple):
+    """The classes sorted by level: the columns of the decoders' (batch, n)
+    arrays. Every level is one slice whose parents lie in the slice before."""
+
+    order: np.ndarray  # column j holds class order[j]
+    starts: np.ndarray  # level d is columns starts[d]:starts[d + 1]; L + 1 entries
+    up: np.ndarray  # each column's parent column, -1 for roots
+    rank: np.ndarray  # each column's path rank in lexicographic order
+
+
 @dataclass(frozen=True, eq=False)
 class TreeEncoding:
     """Immutable encoded forest: the mask and path matrices plus metadata.
@@ -125,6 +136,26 @@ class TreeEncoding:
             and np.array_equal(self.paths, other.paths)
             and np.array_equal(self.level_of, other.level_of)
         )
+
+    @functools.cached_property
+    def _layout(self) -> _Layout:
+        """The decoders' level layout, computed on first use and then kept.
+
+        It is derived from the matrices alone, so equality, the file bytes
+        and the constructor ignore it; its arrays are read-only.
+        """
+        n = self.num_classes
+        order = np.argsort(self.level_of, kind="stable")
+        starts = np.searchsorted(self.level_of[order], np.arange(self.num_levels + 1))
+        # One extra slot maps NO_PARENT (-1) to column -1.
+        col = np.full(n + 1, -1, dtype=np.intp)
+        col[order] = np.arange(n)
+        rank = np.empty(n, dtype=np.intp)
+        rank[np.lexsort(self.paths.T[::-1])] = np.arange(n)
+        layout = _Layout(order, starts, col[recover_parents(self)[order]], rank[order])
+        for a in layout:
+            a.flags.writeable = False
+        return layout
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Per-level softmax and the three decoders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,20 @@ class TestSoftmaxLevels:
         want = oracles.softmax_levels_reference(parts)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+    def test_peak_is_the_output(self):
+        # Three (b, L, n) temporaries peaked at 2.0x the output.
+        enc = encode(generate_synthetic(SyntheticTreeSpec(10_000, 8, seed=0)))
+        rng = np.random.default_rng(54)
+        scores = rng.standard_normal((64, enc.num_classes), dtype=np.float32)
+        parts = partition_scores(enc, scores)
+        tracemalloc.start()
+        try:
+            probs = softmax_levels(parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * probs.data.nbytes
 
     def test_fully_masked_level_rejected(self):
         parts = PartitionedScores(data=np.full((1, 1, 3), -np.inf))

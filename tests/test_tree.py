@@ -1,5 +1,6 @@
 """Encoding construction, validation, and the binary encoding format."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as hs
 
 import semtree as st
 import oracles
+from semtree import fileio
 from helpers import TOY_MASKS, TOY_PARENTS, TOY_PATHS_DISPLAY, random_taxonomy
 
 
@@ -394,6 +396,71 @@ class TestStorage:
             st.storage_bytes(toy_encoding, 0, 8)
         with pytest.raises(st.ParameterError):
             st.storage_bytes(toy_encoding, 1, -1)
+
+
+class TestLevelLayout:
+    def test_toy_layout(self, toy_encoding):
+        # Paths in lexicographic order: 1, 1-3, 1-4, 1-4-7, 1-4-8, 1-4-9, 2,
+        # 2-5, 2-6. The toy's classes are already in level order.
+        order, starts, up, rank = toy_encoding._layout
+        np.testing.assert_array_equal(order, np.arange(9))
+        np.testing.assert_array_equal(starts, [0, 2, 6, 9])
+        np.testing.assert_array_equal(up, [-1, -1, 0, 0, 1, 1, 3, 3, 3])
+        np.testing.assert_array_equal(rank, [0, 6, 1, 2, 7, 8, 3, 4, 5])
+
+    def test_matches_definition_on_random_forests(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            tax = random_taxonomy(rng, max_classes=200, max_depth=6)
+            enc = st.encode(tax)
+            order, starts, up, rank = enc._layout
+            depths = enc.level_of[order]
+            assert (np.diff(depths) >= 0).all()
+            for d in range(enc.num_levels):
+                np.testing.assert_array_equal(
+                    order[starts[d] : starts[d + 1]], np.flatnonzero(enc.level_of == d)
+                )
+            parents = np.asarray(tax.parents)[order]
+            has = parents >= 0
+            assert (up[~has] == -1).all()
+            np.testing.assert_array_equal(order[up[has]], parents[has])
+            paths = [tuple(oracles.path_of(tax.parents, c)) for c in order]
+            lex = sorted(range(enc.num_classes), key=paths.__getitem__)
+            np.testing.assert_array_equal(rank[lex], np.arange(enc.num_classes))
+
+    def test_arrays_are_read_only(self, toy_encoding):
+        for a in toy_encoding._layout:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_equality_and_bytes_ignore_it(self, toy_taxonomy):
+        a, b = st.encode(toy_taxonomy), st.encode(toy_taxonomy)
+        data = st.serialize(a)
+        assert a._layout is a._layout
+        assert a == b and b == a
+        assert st.serialize(a) == data
+
+    def test_not_computed_by_encode_read_or_validate(self, toy_taxonomy, tmp_path):
+        enc = st.encode(toy_taxonomy)
+        assert st.validate(enc).ok
+        p = tmp_path / "toy.enc"
+        fileio.write_encoding(enc, p)
+        read = fileio.read_encoding(p, check=True)
+        assert "_layout" not in vars(enc)
+        assert "_layout" not in vars(read)
+
+    def test_replace_gets_a_fresh_layout(self, toy_encoding):
+        old = toy_encoding._layout
+        # 7, 8 and 9 under 3 in place of 4.
+        other = st.encode(st.Taxonomy(parents=[-1, -1, 0, 0, 1, 1, 2, 2, 2]))
+        fields = {f: getattr(other, f) for f in ("masks", "paths", "level_of")}
+        new = dataclasses.replace(toy_encoding, **fields)
+        assert "_layout" not in vars(new)
+        assert "_layout" not in vars(dataclasses.replace(toy_encoding))
+        for got, want in zip(new._layout, other._layout):
+            np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(new._layout.up, old.up)
 
 
 class TestDisplayIds:
