@@ -278,6 +278,7 @@ class TestWriteEdgeList:
     def test_bytes_equal_one_write_per_class(self, tmp_path, full_scale_tree):
         rng = np.random.default_rng(53)
         trees = {
+            "one": Taxonomy(parents=np.array([-1])),
             "toy": Taxonomy(parents=TOY_PARENTS),
             "roots": Taxonomy(parents=np.full(12, -1)),
             "random": random_taxonomy(rng, max_classes=1500),
