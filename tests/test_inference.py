@@ -10,8 +10,8 @@ from helpers import random_taxonomy
 from semtree import (
     CorruptEncoding,
     LabelError,
-    NEG_INF,
     LevelProbabilities,
+    NEG_INF,
     ParameterError,
     PartitionedScores,
     ShapeError,
