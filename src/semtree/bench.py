@@ -115,10 +115,10 @@ def run_bench(
     Raises ``InsufficientMemory`` up front when the score tensors cannot
     fit in available memory.
     """
-    if reps < 3:
-        raise ParameterError(f"need at least 3 repetitions for a median, got {reps}")
-    if batch_size < 1:
-        raise ParameterError(f"batch size must be positive, got {batch_size}")
+    if not isinstance(reps, (int, np.integer)) or reps < 3:
+        raise ParameterError(f"need an integer of at least 3 repetitions, got {reps!r}")
+    if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+        raise ParameterError(f"batch size must be an integer >= 1, got {batch_size!r}")
     n, L = enc.num_classes, enc.num_levels
     # Peak is the loss: the partitioned tensor it reads, the flattened
     # rows (at most one per sample and level, so at most that tensor's

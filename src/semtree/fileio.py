@@ -202,18 +202,9 @@ def _is_csv(path: Pathish) -> bool:
 
 def _read_tree(stream, size: int, check: bool) -> TreeEncoding:
     masks, paths = _read(stream, size, _FORMATS["encoding"])
-    n, L = paths.shape
-    if n == 0 or L == 0:
+    if 0 in paths.shape:
         raise FormatError("malformed header: zero dimension")
-    masks = masks.view(bool)
-    enc = TreeEncoding(
-        num_classes=n,
-        num_levels=L,
-        masks=masks,
-        paths=paths,
-        # argmin over booleans finds each column's first unmasked row.
-        level_of=np.argmin(masks, axis=0).astype(np.int32),
-    )
+    enc = TreeEncoding(masks=masks.view(bool), paths=paths)
     if check:
         report = validate(enc)
         if not report.ok:

@@ -76,10 +76,11 @@ def softmax_levels(parts: PartitionedScores) -> LevelProbabilities:
     """Turn each depth slice into a probability distribution.
 
     Requires ``-inf`` or NaN masking: either drops out of the softmax
-    exactly, whereas a finite fill would soak up probability mass. Float
-    input keeps its dtype and integer input gives float64. The output is
-    the one (b, L, n) array of that dtype made, so the peak is about the
-    output's size; the checks add a boolean array of the same shape.
+    exactly, whereas a finite fill would soak up probability mass. Real
+    float input keeps its dtype, integer input gives float64 and other
+    dtypes raise ``ShapeError``. The output is the one (b, L, n) array
+    made, so the peak is about the output's size; the checks add a
+    boolean array of the same shape.
     """
     mask_value = parts.mask_value
     if not (mask_value == NEG_INF or np.isnan(mask_value)):
@@ -89,6 +90,8 @@ def softmax_levels(parts: PartitionedScores) -> LevelProbabilities:
     data = parts.data
     if np.issubdtype(data.dtype, np.integer):
         data = data.astype(np.float64)
+    elif not np.issubdtype(data.dtype, np.floating):
+        raise ShapeError(f"scores must be integer or real float, not {data.dtype}")
     elif np.isnan(mask_value):
         data = np.where(np.isnan(data), NEG_INF, data)
     live = (data > NEG_INF).any(axis=2)
@@ -214,8 +217,8 @@ def beam_decode(
     probabilities are at most 0, so every ancestor of a top-k path is
     in the top k of its own level.
     """
-    if k < 1:
-        raise ParameterError(f"beam width must be at least 1, got {k}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ParameterError(f"beam width must be an integer of at least 1, got {k!r}")
     score = _path_scores(enc, probs, probs.data.shape[:1])
     primary = -score
     if length_normalize:
@@ -290,8 +293,8 @@ def levenshtein_decode(
     is no limit on the batch: besides those rows, the decoder holds a
     few (batch, n) arrays.
     """
-    if k < 1:
-        raise ParameterError(f"k must be at least 1, got {k}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ParameterError(f"k must be an integer of at least 1, got {k!r}")
     naive = np.asarray(naive)
     if naive.ndim != 2 or naive.shape[1] != enc.num_levels:
         raise ShapeError(

@@ -101,7 +101,8 @@ def partition_scores(
 
     Every score lands unchanged in the one slice owning its class, found
     by ``level_of``; all other positions hold ``mask_value``. Integer
-    input is promoted to float64, float input keeps its dtype.
+    input is promoted to float64, real float input keeps its dtype, and
+    any other dtype raises ``ShapeError``.
     """
     mask_value = _check_mask_value(mask_value)
     scores = np.asarray(scores)
@@ -112,8 +113,10 @@ def partition_scores(
             f"scores have {scores.shape[1]} columns, encoding has "
             f"{enc.num_classes} classes"
         )
-    if not np.issubdtype(scores.dtype, np.floating):
+    if np.issubdtype(scores.dtype, np.integer):
         scores = scores.astype(np.float64)
+    elif not np.issubdtype(scores.dtype, np.floating):
+        raise ShapeError(f"scores must be integer or real float, not {scores.dtype}")
     if not np.isfinite(scores).all():
         raise ParameterError("scores must be finite")
     (b, n), L = scores.shape, enc.num_levels

@@ -10,6 +10,10 @@ batched transform:
 * ``paths``, int32 ``(n, L)``: row ``c`` holds the classes on the path
   from a root down to ``c``, right-padded with ``PAD``.
 
+A ``TreeEncoding`` holds these two matrices and nothing else. ``n`` and
+``L`` are read from their shapes, and ``level_of``, each class's level, is
+derived from ``masks`` on first use, cached and read-only.
+
 Class ids are 0-based in memory. File formats and CLI output show them
 1-based; ``display_ids`` / ``from_display`` convert between the two.
 """
@@ -94,17 +98,15 @@ class _Layout(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class TreeEncoding:
-    """Immutable encoded forest: the mask and path matrices plus metadata.
+    """Immutable encoded forest: the mask and path matrices.
 
-    Arrays are marked read-only so an encoding can be shared freely
-    across threads.
+    Everything else (the class and level counts, each class's level) is
+    derived from the two. Arrays are marked read-only so an encoding can
+    be shared freely across threads.
     """
 
-    num_classes: int
-    num_levels: int
     masks: np.ndarray  # bool (num_levels, num_classes), True = excluded
     paths: np.ndarray  # int32 (num_classes, num_levels), PAD-terminated rows
-    level_of: np.ndarray  # int32 (num_classes,), depth of each class
 
     pad_value: ClassVar[int] = PAD
 
@@ -114,28 +116,39 @@ class TreeEncoding:
             raise ParameterError(f"masks must be a boolean array, got {masks.dtype}")
         masks = np.ascontiguousarray(masks)
         paths = _as_int32("paths", self.paths)
-        level_of = _as_int32("level_of", self.level_of)
-        n, L = self.num_classes, self.num_levels
-        if masks.shape != (L, n) or paths.shape != (n, L) or level_of.shape != (n,):
+        # argmin in level_of needs at least one level row.
+        if paths.ndim != 2 or masks.shape != paths.shape[::-1] or 0 in paths.shape:
             raise ParameterError(
-                f"inconsistent encoding shapes: masks {masks.shape}, "
-                f"paths {paths.shape}, level_of {level_of.shape} "
-                f"for {n} classes and {L} levels"
+                f"an encoding needs masks (L, n) and paths (n, L) with n, L >= 1, "
+                f"got masks {masks.shape} and paths {paths.shape}"
             )
-        for name, arr in (("masks", masks), ("paths", paths), ("level_of", level_of)):
+        for name, arr in (("masks", masks), ("paths", paths)):
             object.__setattr__(self, name, arr)
             arr.flags.writeable = False
+
+    @property
+    def num_classes(self) -> int:
+        return self.paths.shape[0]
+
+    @property
+    def num_levels(self) -> int:
+        return self.paths.shape[1]
 
     def __eq__(self, other):
         if not isinstance(other, TreeEncoding):
             return NotImplemented
-        return (
-            self.num_classes == other.num_classes
-            and self.num_levels == other.num_levels
-            and np.array_equal(self.masks, other.masks)
-            and np.array_equal(self.paths, other.paths)
-            and np.array_equal(self.level_of, other.level_of)
+        return np.array_equal(self.masks, other.masks) and np.array_equal(
+            self.paths, other.paths
         )
+
+    @functools.cached_property
+    def level_of(self) -> np.ndarray:
+        """int32 (num_classes,): each class's level, the first level row in
+        which it is unmasked (row 0 for a class masked everywhere, which
+        ``validate`` reports). Computed on first use, then kept read-only."""
+        level_of = np.argmin(self.masks, axis=0).astype(np.int32)
+        level_of.flags.writeable = False
+        return level_of
 
     @functools.cached_property
     def _layout(self) -> _Layout:
@@ -213,28 +226,22 @@ def encode(taxonomy: Taxonomy) -> TreeEncoding:
     """
     parents = taxonomy.parents
     n = parents.size
-    level_of = class_depths(parents)
-    num_levels = int(level_of.max()) + 1
+    depth = class_depths(parents)
+    num_levels = int(depth.max()) + 1
 
     masks = np.ones((num_levels, n), dtype=bool)
-    masks[level_of, np.arange(n)] = False
+    masks[depth, np.arange(n)] = False
 
     # Each class's path row is its parent's row plus itself, so fill rows
     # in order of increasing depth and copy whole groups at a time.
     paths = np.full((n, num_levels), PAD, dtype=np.int32)
     for d in range(num_levels):
-        group = np.nonzero(level_of == d)[0]
+        group = np.nonzero(depth == d)[0]
         if d > 0:
             paths[group] = paths[parents[group]]
         paths[group, d] = group
 
-    return TreeEncoding(
-        num_classes=n,
-        num_levels=num_levels,
-        masks=masks,
-        paths=paths,
-        level_of=level_of,
-    )
+    return TreeEncoding(masks=masks, paths=paths)
 
 
 def recover_parents(enc: TreeEncoding) -> np.ndarray:
@@ -257,19 +264,6 @@ def validate(enc: TreeEncoding) -> ValidationReport:
     add = report.violations.append
     n, L = enc.num_classes, enc.num_levels
     masks, paths, level_of = enc.masks, enc.paths, enc.level_of
-
-    # Levels must be plausible before they can be used as indices below.
-    level_ok = (level_of >= 0) & (level_of < L)
-    for c in np.nonzero(~level_ok)[0]:
-        add(
-            Violation(
-                "level-range",
-                (int(c),),
-                f"class {c + 1} has depth {int(level_of[c])}, outside [0, {L})",
-            )
-        )
-    if not report.ok:
-        return report
 
     # Each class unmasked in exactly one level row, the row of its depth.
     unmask_counts = (~masks).sum(axis=0)
@@ -403,7 +397,7 @@ def storage_bytes(enc: TreeEncoding, s_bool: int, s_int: int) -> int:
 
 
 def measured_bytes(enc: TreeEncoding) -> int:
-    """Bytes actually owned by the encoding's buffers."""
+    """Bytes owned by the encoding's buffers: both matrices and ``level_of``."""
     return enc.masks.nbytes + enc.paths.nbytes + enc.level_of.nbytes
 
 

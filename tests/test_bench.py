@@ -1,5 +1,6 @@
 """Benchmark harness: accounting formulas, timing fields, guard rails."""
 
+import numpy as np
 import pytest
 
 from semtree import (
@@ -58,6 +59,13 @@ class TestRunBench:
     def test_bad_batch(self, small_encoding):
         with pytest.raises(ParameterError):
             run_bench(small_encoding, 0, 3)
+
+    @pytest.mark.parametrize(
+        "batch, reps", [(8, 3.5), (8, np.float64(3.0)), (8.0, 3), ("8", 3), (None, 3)]
+    )
+    def test_non_integer_counts(self, small_encoding, batch, reps):
+        with pytest.raises(ParameterError, match="integer"):
+            run_bench(small_encoding, batch, reps)
 
     def test_memory_guard(self, small_encoding):
         with pytest.raises(InsufficientMemory, match="available"):

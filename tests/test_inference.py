@@ -1,5 +1,6 @@
 """Per-level softmax and the three decoders."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -78,6 +79,13 @@ class TestSoftmaxLevels:
         rng = np.random.default_rng(34)
         probs = random_probs(rng, toy_encoding)
         assert probs.data.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.complex128, bool, object])
+    def test_refuses_non_real_dtypes(self, toy_encoding, dtype):
+        scores = np.arange(18, dtype=np.float64).reshape(2, 9)
+        data = partition_scores(toy_encoding, scores).data.astype(dtype)
+        with pytest.raises(ShapeError, match=re.escape(str(np.dtype(dtype)))):
+            softmax_levels(PartitionedScores(data=data))
 
     def test_stable_for_large_scores(self, toy_encoding):
         scores = np.full((1, 9), 3.0e4, dtype=np.float32)
@@ -263,6 +271,12 @@ class TestBeamDecode:
         with pytest.raises(ParameterError):
             beam_decode(toy_encoding, probs, k=0)
 
+    @pytest.mark.parametrize("k", [2.5, np.float64(2.0), None, "2"])
+    def test_non_integer_width(self, toy_encoding, k):
+        probs = random_probs(np.random.default_rng(40), toy_encoding)
+        with pytest.raises(ParameterError, match="integer"):
+            beam_decode(toy_encoding, probs, k=k)
+
     def test_shape_mismatch(self, toy_encoding):
         probs = LevelProbabilities(data=np.zeros((1, 2, 9)))
         with pytest.raises(ShapeError):
@@ -400,6 +414,12 @@ class TestLevenshteinDecode:
     def test_bad_k(self, toy_encoding):
         with pytest.raises(ParameterError):
             levenshtein_decode(toy_encoding, np.zeros((1, 3), dtype=np.int64), k=0)
+
+    @pytest.mark.parametrize("k", [2.5, np.float64(2.0), None, "2"])
+    def test_non_integer_k(self, toy_encoding, k):
+        naive = np.zeros((1, 3), dtype=np.int64)
+        with pytest.raises(ParameterError, match="integer"):
+            levenshtein_decode(toy_encoding, naive, k=k)
 
     def test_wrong_shape(self, toy_encoding):
         with pytest.raises(ShapeError):

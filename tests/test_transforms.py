@@ -1,5 +1,6 @@
 """Score partitioning, label mapping, flattening, and the training loss."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -110,6 +111,12 @@ class TestPartitionScores:
     def test_promotes_integers(self, toy_encoding):
         parts = partition_scores(toy_encoding, np.ones((2, 9), dtype=np.int32))
         assert parts.data.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.complex64, bool, object, "<U32"])
+    def test_refuses_non_real_dtypes(self, toy_encoding, dtype):
+        scores = toy_scores(2).astype(dtype)
+        with pytest.raises(ShapeError, match=re.escape(str(np.dtype(dtype)))):
+            partition_scores(toy_encoding, scores)
 
     def test_nan_mask_value(self, toy_encoding):
         parts = partition_scores(toy_encoding, toy_scores(1), mask_value=float("nan"))

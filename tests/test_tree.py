@@ -208,13 +208,7 @@ def test_encode_fuzz_gives_a_valid_encoding_or_names_the_cycle(parents):
 
 class TestValidate:
     def _rebuild(self, enc, **overrides):
-        fields = dict(
-            num_classes=enc.num_classes,
-            num_levels=enc.num_levels,
-            masks=enc.masks.copy(),
-            paths=enc.paths.copy(),
-            level_of=enc.level_of.copy(),
-        )
+        fields = dict(masks=enc.masks.copy(), paths=enc.paths.copy())
         fields.update(overrides)
         return st.TreeEncoding(**fields)
 
@@ -230,12 +224,6 @@ class TestValidate:
         rng = np.random.default_rng(14)
         for _ in range(15):
             assert st.validate(st.encode(random_taxonomy(rng, max_classes=300))).ok
-
-    def test_level_out_of_range(self, toy_encoding):
-        level_of = toy_encoding.level_of.copy()
-        level_of[3] = 7
-        enc = self._rebuild(toy_encoding, level_of=level_of)
-        assert self._kinds(enc) == {"level-range"}
 
     def test_double_unmask(self, toy_encoding):
         masks = toy_encoding.masks.copy()
@@ -275,14 +263,11 @@ class TestValidate:
         assert "prefix" in self._kinds(enc)
 
     def test_shared_path_in_one_level(self):
-        # A two-class chain where the child is unmasked at the root level
-        # alongside its own parent.
+        # A two-class chain where the root is unmasked at the child's level
+        # alongside the child.
         enc = st.TreeEncoding(
-            num_classes=2,
-            num_levels=2,
-            masks=np.array([[False, False], [True, False]]),
+            masks=np.array([[False, True], [False, False]]),
             paths=np.array([[0, -1], [0, 1]], dtype=np.int32),
-            level_of=np.array([0, 1], dtype=np.int32),
         )
         kinds = {v.kind for v in st.validate(enc).violations}
         assert "shared-path" in kinds
@@ -296,16 +281,13 @@ class TestValidate:
         for _ in range(600):
             enc = st.encode(random_taxonomy(rng, max_classes=30, max_depth=5))
             n, L = enc.num_classes, enc.num_levels
-            masks, paths, level_of = enc.masks.copy(), enc.paths.copy(), enc.level_of.copy()
+            masks, paths = enc.masks.copy(), enc.paths.copy()
             for _ in range(int(rng.integers(1, 4))):
-                what = rng.integers(3)
-                if what == 0:
+                if rng.integers(2) == 0:
                     masks[rng.integers(L), rng.integers(n)] ^= True
-                elif what == 1:
-                    paths[rng.integers(n), rng.integers(L)] = rng.integers(-2, n + 1)
                 else:
-                    level_of[rng.integers(n)] = rng.integers(-1, L + 1)
-            bad = self._rebuild(enc, masks=masks, paths=paths, level_of=level_of)
+                    paths[rng.integers(n), rng.integers(L)] = rng.integers(-2, n + 1)
+            bad = self._rebuild(enc, masks=masks, paths=paths)
             kinds = [v.kind for v in st.validate(bad).violations]
             if "shared-path" in kinds:
                 shared += 1
@@ -313,7 +295,7 @@ class TestValidate:
             if not kinds:
                 for c in range(n):
                     (row,) = np.flatnonzero(~masks[:, c])
-                    assert masks[row, paths[c, : level_of[c]]].all()
+                    assert masks[row, paths[c, : bad.level_of[c]]].all()
         assert shared > 50
 
     def test_reports_match_the_whole_matrix_reference(self):
@@ -324,22 +306,19 @@ class TestValidate:
         for _ in range(1200):
             enc = st.encode(random_taxonomy(rng, max_classes=30, max_depth=5))
             n, L = enc.num_classes, enc.num_levels
-            masks, paths, level_of = enc.masks.copy(), enc.paths.copy(), enc.level_of.copy()
+            masks, paths = enc.masks.copy(), enc.paths.copy()
             for _ in range(int(rng.integers(0, 4))):
-                what = rng.integers(3)
-                if what == 0:
+                if rng.integers(2) == 0:
                     masks[rng.integers(L), rng.integers(n)] ^= True
-                elif what == 1:
-                    paths[rng.integers(n), rng.integers(L)] = rng.integers(-2, n + 1)
                 else:
-                    level_of[rng.integers(n)] = rng.integers(-1, L + 1)
-            bad = self._rebuild(enc, masks=masks, paths=paths, level_of=level_of)
+                    paths[rng.integers(n), rng.integers(L)] = rng.integers(-2, n + 1)
+            bad = self._rebuild(enc, masks=masks, paths=paths)
             got = [(v.kind, v.where, v.message) for v in st.validate(bad).violations]
             assert got == oracles.validate_reference(bad)
             kinds.update(kind for kind, _, _ in got)
         assert kinds == {
-            "level-range", "unmask-count", "level-mismatch", "path-range",
-            "path-pad-tail", "path-endpoint", "prefix", "shared-path",
+            "unmask-count", "level-mismatch", "path-range", "path-pad-tail",
+            "path-endpoint", "prefix", "shared-path",
         }
 
     def test_messages_are_one_based(self, toy_encoding):
@@ -358,12 +337,6 @@ class TestValidate:
         paths[4, 0] = 2**32 + 1  # would wrap to root 2, its true value
         with pytest.raises(st.ParameterError, match="paths entry 4294967297"):
             self._rebuild(toy_encoding, paths=paths)
-
-    def test_float_level_of_rejected(self, toy_encoding):
-        level_of = toy_encoding.level_of.astype(np.float64)
-        level_of[2] = 1.7  # would truncate to 1, its true depth
-        with pytest.raises(st.ParameterError, match="level_of must be an integer"):
-            self._rebuild(toy_encoding, level_of=level_of)
 
     def test_non_boolean_masks_rejected(self, toy_encoding):
         masks = np.where(toy_encoding.masks, 5, 0)  # would cast to the same bits
@@ -452,13 +425,77 @@ class TestLevelLayout:
         old = toy_encoding._layout
         # 7, 8 and 9 under 3 in place of 4.
         other = st.encode(st.Taxonomy(parents=[-1, -1, 0, 0, 1, 1, 2, 2, 2]))
-        fields = {f: getattr(other, f) for f in ("masks", "paths", "level_of")}
-        new = dataclasses.replace(toy_encoding, **fields)
+        new = dataclasses.replace(toy_encoding, masks=other.masks, paths=other.paths)
         assert "_layout" not in vars(new)
         assert "_layout" not in vars(dataclasses.replace(toy_encoding))
         for got, want in zip(new._layout, other._layout):
             np.testing.assert_array_equal(got, want)
         assert not np.array_equal(new._layout.up, old.up)
+
+
+class TestDerivedLevels:
+    def test_first_unmasked_row_of_each_column(self):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            L, n = (int(x) for x in rng.integers(1, 8, size=2))
+            masks = rng.random((L, n)) < 0.7
+            masks[:, 0] = True  # masked everywhere: row 0
+            if L > 1:
+                masks[:, -1] = [False, False] + [True] * (L - 2)  # unmasked twice
+            enc = st.TreeEncoding(masks=masks, paths=np.zeros((n, L), dtype=np.int32))
+            expected = []
+            for c in range(n):
+                rows = [l for l in range(L) if not masks[l, c]]
+                expected.append(rows[0] if rows else 0)
+            assert enc.level_of.dtype == np.int32
+            np.testing.assert_array_equal(enc.level_of, expected)
+
+    def test_read_only(self, toy_encoding):
+        level_of = toy_encoding.level_of
+        assert not level_of.flags.writeable
+        with pytest.raises(ValueError):
+            level_of[0] = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            toy_encoding.level_of = np.zeros(9, dtype=np.int32)
+        assert toy_encoding.level_of is level_of
+
+    def test_not_computed_by_encode_or_an_unchecked_read(self, toy_taxonomy, tmp_path):
+        enc = st.encode(toy_taxonomy)
+        assert "level_of" not in vars(enc)
+        p = tmp_path / "toy.enc"
+        fileio.write_encoding(enc, p)
+        assert "level_of" not in vars(fileio.read_encoding(p, check=False))
+        assert "level_of" not in vars(enc)
+
+    def test_equality_and_bytes_ignore_it(self, toy_taxonomy):
+        a, b = st.encode(toy_taxonomy), st.encode(toy_taxonomy)
+        data = st.serialize(b)
+        a.level_of
+        assert "level_of" in vars(a) and "level_of" not in vars(b)
+        assert a == b and b == a
+        assert st.serialize(a) == data
+
+    def test_replace_gets_a_fresh_value(self, toy_encoding):
+        assert toy_encoding.level_of[4] == 1
+        masks = toy_encoding.masks.copy()
+        masks[:, 4] = [False, True, True]  # class 5 moves up to the root level
+        new = dataclasses.replace(toy_encoding, masks=masks)
+        assert "level_of" not in vars(new)
+        np.testing.assert_array_equal(new.level_of, [0, 0, 1, 1, 0, 1, 2, 2, 2])
+
+    @pytest.mark.parametrize(
+        "masks, paths",
+        [
+            (np.zeros((3, 0), dtype=bool), np.zeros((0, 3), dtype=np.int32)),
+            (np.zeros((0, 4), dtype=bool), np.zeros((4, 0), dtype=np.int32)),
+            (np.zeros(4, dtype=bool), np.zeros(4, dtype=np.int32)),
+            (np.zeros((2, 3), dtype=bool), np.zeros((2, 3), dtype=np.int32)),
+        ],
+        ids=["no-classes", "no-levels", "1-d", "transposed"],
+    )
+    def test_constructor_refuses_bad_shapes(self, masks, paths):
+        with pytest.raises(st.ParameterError):
+            st.TreeEncoding(masks=masks, paths=paths)
 
 
 class TestDisplayIds:
@@ -535,13 +572,7 @@ class TestSerialization:
     def test_invalid_content_rejected_by_default(self, toy_encoding):
         paths = toy_encoding.paths.copy()
         paths[6, 0] = 1  # well-formed stream, broken prefix invariant
-        bad = st.TreeEncoding(
-            num_classes=9,
-            num_levels=3,
-            masks=toy_encoding.masks.copy(),
-            paths=paths,
-            level_of=toy_encoding.level_of.copy(),
-        )
+        bad = st.TreeEncoding(masks=toy_encoding.masks.copy(), paths=paths)
         data = st.serialize(bad)
         with pytest.raises(st.FormatError, match="invalid"):
             st.deserialize(data)
