@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedMaskValue,
 )
 from .tree import TreeEncoding
-from .transforms import NEG_INF, PartitionedScores
+from .transforms import NEG_INF, PartitionedScores, _check_dtype
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,9 @@ def softmax_levels(parts: PartitionedScores) -> LevelProbabilities:
         raise UnsupportedMaskValue(
             f"softmax needs -inf or NaN masking, got {mask_value!r}"
         )
-    data = parts.data
+    data = _check_dtype("scores", parts.data)
     if np.issubdtype(data.dtype, np.integer):
         data = data.astype(np.float64)
-    elif not np.issubdtype(data.dtype, np.floating):
-        raise ShapeError(f"scores must be integer or real float, not {data.dtype}")
     elif np.isnan(mask_value):
         data = np.where(np.isnan(data), NEG_INF, data)
     live = (data > NEG_INF).any(axis=2)
@@ -113,9 +111,11 @@ def naive_decode(probs: LevelProbabilities) -> np.ndarray:
     """Most likely class per level, shape (batch, num_levels).
 
     The levels are decoded independently, so consecutive entries need
-    not form a valid path. Ties go to the smaller class index.
+    not form a valid path. Ties go to the smaller class index. Probabilities
+    that are neither integer nor real float raise ``ShapeError``.
     """
-    return np.argmax(probs.data, axis=2).astype(np.int64)
+    data = _check_dtype("probabilities", probs.data)
+    return np.argmax(data, axis=2).astype(np.int64)
 
 
 def _path_scores(
@@ -128,19 +128,21 @@ def _path_scores(
     level: the summation order of a root-to-leaf walk. ``probs`` must
     have shape ``batch + (L, n)``. Only the n own-level probabilities
     per sample are gathered and logged; one that is NaN or outside
-    [0, 1] raises ``ParameterError``.
+    [0, 1] raises ``ParameterError``, and a dtype that is neither integer
+    nor real float raises ``ShapeError``.
     """
+    data = _check_dtype("probabilities", probs.data)
     want = batch + (enc.num_levels, enc.num_classes)
-    if probs.data.shape != want:
+    if data.shape != want:
         raise ShapeError(
-            f"probabilities of shape {probs.data.shape} do not match "
+            f"probabilities of shape {data.shape} do not match "
             f"{want} (samples, levels, classes)"
         )
     order, starts, up, _ = enc._layout
     levels = enc.level_of[order].astype(np.intp)
     # One flat gather gives contiguous rows, which np.partition needs to run
     # fast (over strided rows it is ~7x slower).
-    flat = probs.data.reshape(want[0], enc.num_levels * enc.num_classes)
+    flat = data.reshape(want[0], enc.num_levels * enc.num_classes)
     p = np.take(flat, levels * enc.num_classes + order, axis=1)
     bad = ~((p >= 0) & (p <= 1))
     if bad.any():
@@ -295,14 +297,12 @@ def levenshtein_decode(
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"k must be an integer of at least 1, got {k!r}")
-    naive = np.asarray(naive)
+    naive = _check_dtype("naive sequences", naive, floats=False)
     if naive.ndim != 2 or naive.shape[1] != enc.num_levels:
         raise ShapeError(
             f"naive sequences of shape {naive.shape} do not match "
             f"{enc.num_levels} levels"
         )
-    if not np.issubdtype(naive.dtype, np.integer):
-        raise ShapeError(f"naive sequences must be integers, got dtype {naive.dtype}")
     bad = (naive < 0) | (naive >= enc.num_classes)
     if bad.any():
         i = int(np.argwhere(bad)[0][0])

@@ -34,6 +34,21 @@ def _check_mask_value(mask_value: float) -> float:
     return mask_value
 
 
+def _check_dtype(name: str, a, *, floats: bool = True) -> np.ndarray:
+    """``a`` as an array of integers, or of real floats when ``floats``.
+
+    Any other dtype (bool, complex, object, strings, and floats where ids
+    are wanted) raises ``ShapeError`` naming it, rather than being cast.
+    """
+    a = np.asarray(a)
+    if np.issubdtype(a.dtype, np.integer):
+        return a
+    if floats and np.issubdtype(a.dtype, np.floating):
+        return a
+    kind = "integer or real float" if floats else "integers"
+    raise ShapeError(f"{name} must be {kind}, not {a.dtype}")
+
+
 @dataclass(frozen=True)
 class PartitionedScores:
     """Scores arranged per depth level, shape (batch, num_levels, num_classes)."""
@@ -105,7 +120,7 @@ def partition_scores(
     any other dtype raises ``ShapeError``.
     """
     mask_value = _check_mask_value(mask_value)
-    scores = np.asarray(scores)
+    scores = _check_dtype("scores", scores)
     if scores.ndim != 2:
         raise ShapeError(f"scores must be 2-d, got shape {scores.shape}")
     if scores.shape[1] != enc.num_classes:
@@ -115,8 +130,6 @@ def partition_scores(
         )
     if np.issubdtype(scores.dtype, np.integer):
         scores = scores.astype(np.float64)
-    elif not np.issubdtype(scores.dtype, np.floating):
-        raise ShapeError(f"scores must be integer or real float, not {scores.dtype}")
     if not np.isfinite(scores).all():
         raise ParameterError("scores must be finite")
     (b, n), L = scores.shape, enc.num_levels
@@ -131,11 +144,9 @@ def partition_scores(
 
 def map_labels(enc: TreeEncoding, labels: np.ndarray) -> PathLabels:
     """Replace each flat label with its ancestral path row (b,) -> (b, L)."""
-    labels = np.asarray(labels)
+    labels = _check_dtype("labels", labels, floats=False)
     if labels.ndim != 1:
         raise ShapeError(f"labels must be 1-d, got shape {labels.shape}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ShapeError(f"labels must be integers, got dtype {labels.dtype}")
     bad = (labels < 0) | (labels >= enc.num_classes)
     if bad.any():
         i = int(np.argmax(bad))
@@ -149,16 +160,18 @@ def flatten_for_training(
     """Collapse (b, L, n) scores and (b, L) path labels into training rows.
 
     Rows are laid out sample-major, level-minor; rows whose label is
-    padding (the sample's path ended above that level) are dropped.
+    padding (the sample's path ended above that level) are dropped. Path
+    labels that are not integers raise ``ShapeError``.
     """
-    if parts.data.shape[:2] != path_labels.data.shape:
+    labels = _check_dtype("path labels", path_labels.data, floats=False)
+    if parts.data.shape[:2] != labels.shape:
         raise ShapeError(
             f"partitioned scores {parts.data.shape[:2]} and path labels "
-            f"{path_labels.data.shape} disagree on batch or levels"
+            f"{labels.shape} disagree on batch or levels"
         )
     b, L, n = parts.data.shape
     flat_rows = parts.data.reshape(b * L, n)
-    flat_labels = path_labels.data.reshape(b * L)
+    flat_labels = labels.reshape(b * L)
     keep = np.nonzero(flat_labels != PathLabels.pad_value)[0]
     sample, level = np.divmod(keep, L)
     origin = np.column_stack((sample, level)).astype(np.int64)
@@ -177,7 +190,8 @@ def cross_entropy(flat: FlatTrainingSet, reduction: str = "mean") -> LossResult:
     zero, so excluded classes drop out of the normalizer. The cost is
     one scan of the rows for their live (not ``-inf``) entries, then
     float64 work on those entries alone. The per-row losses and their
-    mean (or sum) are returned.
+    mean (or sum) are returned. Rows must be integer or real float and
+    labels integer; other dtypes raise ``ShapeError``.
     """
     if flat.mask_value != NEG_INF:
         raise UnsupportedMaskValue(
@@ -188,7 +202,8 @@ def cross_entropy(flat: FlatTrainingSet, reduction: str = "mean") -> LossResult:
         raise ParameterError(f"unknown reduction {reduction!r}")
     if flat.num_rows == 0:
         raise ParameterError("cannot reduce a loss over zero rows")
-    rows, labels = flat.rows, flat.labels
+    rows = _check_dtype("rows", flat.rows)
+    labels = _check_dtype("labels", flat.labels, floats=False)
     num_rows, n = rows.shape
     if (labels < 0).any() or (labels >= n).any():
         i = int(np.argmax((labels < 0) | (labels >= n)))

@@ -257,8 +257,12 @@ def recover_parents(enc: TreeEncoding) -> np.ndarray:
 def validate(enc: TreeEncoding) -> ValidationReport:
     """Check every structural invariant of an encoding.
 
-    Returns a report listing one violation per offending index; an empty
-    report means the encoding is valid. Never raises on bad content.
+    Returns a report listing one violation per offending index, of kinds
+    ``unmask-count``, ``path-range``, ``path-pad-tail``, ``path-endpoint``
+    and ``prefix``. An empty report means the encoding is valid, and every
+    invalid encoding gets at least one violation: with none, each class is
+    unmasked only at its own depth and ``paths[c, j]`` has depth ``j``, so
+    no two classes of one path share a level row. Never raises on bad content.
     """
     report = ValidationReport()
     add = report.violations.append
@@ -274,16 +278,6 @@ def validate(enc: TreeEncoding) -> ValidationReport:
                 (int(c),),
                 f"class {c + 1} is unmasked in {int(unmask_counts[c])} "
                 f"level rows, expected exactly 1",
-            )
-        )
-    wrong_level = masks[level_of, np.arange(n)]
-    for c in np.nonzero(wrong_level)[0]:
-        add(
-            Violation(
-                "level-mismatch",
-                (int(c),),
-                f"class {c + 1} is masked at its own depth level "
-                f"{int(level_of[c]) + 1}",
             )
         )
 
@@ -346,36 +340,6 @@ def validate(enc: TreeEncoding) -> ValidationReport:
                 f"parent {p + 1}",
             )
         )
-
-    # With no violation so far, each class is unmasked only at its own
-    # depth and paths[c, j] has depth j (endpoint, then prefix by induction
-    # on depth), so no two classes of one path can share a level row.
-    if report.ok:
-        return report
-
-    # Depth-partition validity: no two unmasked classes in one level row
-    # may lie on the same ancestral path.
-    cols = np.arange(L)[None, :]
-    for l in range(L):
-        members = np.nonzero(~masks[l])[0]
-        if members.size == 0:
-            continue
-        in_row = ~masks[l]
-        sub = paths[members]
-        strict = cols < level_of[members][:, None]
-        entry_ok = strict & (sub >= 0) & (sub < n)
-        hits = np.zeros_like(entry_ok)
-        hits[entry_ok] = in_row[sub[entry_ok]]
-        for i, j in zip(*np.nonzero(hits)):
-            a, b = int(sub[i, j]), int(members[i])
-            add(
-                Violation(
-                    "shared-path",
-                    (l, a, b),
-                    f"classes {a + 1} and {b + 1} lie on one ancestral "
-                    f"path but are both unmasked at level {l + 1}",
-                )
-            )
 
     return report
 

@@ -166,6 +166,26 @@ class TestNaiveDecode:
         assert seq[0] == 1 and seq[2] == 6
 
 
+DECODERS = {
+    "naive": lambda enc, probs: naive_decode(probs),
+    "beam": lambda enc, probs: beam_decode(enc, probs, k=2),
+    "levenshtein": lambda enc, probs: levenshtein_decode(
+        enc, np.zeros((probs.batch_size, enc.num_levels), dtype=np.int64), k=2, probs=probs
+    ),
+}
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("dtype", [np.complex128, bool, object])
+def test_decoders_refuse_non_real_probabilities(toy_encoding, decoder, dtype):
+    # Cast to float64, complex probabilities would lose their imaginary
+    # parts, and bool ones would make class 1 the top path here, scoring 0.0.
+    probs = random_probs(np.random.default_rng(41), toy_encoding)
+    bad = LevelProbabilities(data=probs.data.astype(dtype))
+    with pytest.raises(ShapeError, match=re.escape(str(np.dtype(dtype)))):
+        DECODERS[decoder](toy_encoding, bad)
+
+
 class TestBeamDecode:
     def test_paths_are_valid(self):
         rng = np.random.default_rng(35)

@@ -1,5 +1,6 @@
 """Score partitioning, label mapping, flattening, and the training loss."""
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -250,6 +251,15 @@ class TestFlatten:
         paths = map_labels(toy_encoding, TOY_LABELS_DISPLAY - 1)
         assert np.isnan(flatten_for_training(parts, paths).mask_value)
 
+    def test_refuses_non_integer_path_labels(self, toy_encoding):
+        # Cast, these would keep the padding row of class 4 (6 rows, not 5)
+        # and truncate the labels.
+        parts = partition_scores(toy_encoding, toy_scores(2))
+        paths = map_labels(toy_encoding, np.array([3, 6]))
+        bad = PathLabels(data=paths.data.astype(np.float64) + 0.7)
+        with pytest.raises(ShapeError, match="path labels must be integers, not float64"):
+            flatten_for_training(parts, bad)
+
 
 def _flat_from(enc, scores, labels, mask_value=NEG_INF):
     parts = partition_scores(enc, scores, mask_value=mask_value)
@@ -313,6 +323,22 @@ class TestCrossEntropy:
             )
             with pytest.raises(UnsupportedMaskValue):
                 cross_entropy(flat)
+
+    @pytest.mark.parametrize("dtype", [bool, np.complex128, object])
+    def test_refuses_non_real_rows(self, toy_encoding, dtype):
+        # Cast to float64, bool rows would give a mean loss of 2.290 here
+        # where 1.054 is right, and complex rows would lose their imaginary
+        # parts.
+        flat = _flat_from(toy_encoding, toy_scores(), TOY_LABELS_DISPLAY - 1)
+        bad = dataclasses.replace(flat, rows=flat.rows.astype(dtype))
+        with pytest.raises(ShapeError, match=re.escape(str(np.dtype(dtype)))):
+            cross_entropy(bad)
+
+    def test_refuses_non_integer_labels(self, toy_encoding):
+        flat = _flat_from(toy_encoding, toy_scores(), TOY_LABELS_DISPLAY - 1)
+        bad = dataclasses.replace(flat, labels=flat.labels.astype(np.float64))
+        with pytest.raises(ShapeError, match="labels must be integers, not float64"):
+            cross_entropy(bad)
 
     def test_rejects_unknown_reduction(self, toy_encoding):
         flat = _flat_from(toy_encoding, toy_scores(), TOY_LABELS_DISPLAY - 1)
