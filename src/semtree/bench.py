@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InsufficientMemory, ParameterError
 from .transforms import (
+    _BLOCK_ENTRIES,
     cross_entropy,
     flatten_for_training,
     map_labels,
@@ -122,8 +123,12 @@ def run_bench(
     n, L = enc.num_classes, enc.num_levels
     # Peak is the loss: the partitioned tensor it reads, the flattened
     # rows (at most one per sample and level, so at most that tensor's
-    # size again) and the loss's own working memory, below the rows' size.
-    required = scores_bytes(batch_size, n) + 3 * partitioned_bytes(batch_size, L, n)
+    # size again) and one block of the loss's whole rows, at most 24 bytes
+    # an entry (int64 indices, the values in the rows' dtype and in float64).
+    block = 24 * max(_BLOCK_ENTRIES, n)
+    required = (
+        scores_bytes(batch_size, n) + 2 * partitioned_bytes(batch_size, L, n) + block
+    )
     available = _available_bytes()
     if available is not None and required > available:
         raise InsufficientMemory(

@@ -112,10 +112,26 @@ def naive_decode(probs: LevelProbabilities) -> np.ndarray:
 
     The levels are decoded independently, so consecutive entries need
     not form a valid path. Ties go to the smaller class index. Probabilities
-    that are neither integer nor real float raise ``ShapeError``.
+    that are neither integer nor real float, or not 3-d, raise
+    ``ShapeError``; a NaN probability raises ``ParameterError``.
     """
     data = _check_dtype("probabilities", probs.data)
-    return np.argmax(data, axis=2).astype(np.int64)
+    if data.ndim != 3:
+        raise ShapeError(
+            f"probabilities must be 3-d (samples, levels, classes), "
+            f"got shape {data.shape}"
+        )
+    best = np.argmax(data, axis=2)
+    # argmax picks a slice's first NaN if it has one, so checking the
+    # picked entries finds every NaN without a (b, L, n) mask.
+    bad = np.isnan(np.take_along_axis(data, best[:, :, None], axis=2)[:, :, 0])
+    if bad.any():
+        s, l = (int(x) for x in np.argwhere(bad)[0])
+        raise ParameterError(
+            f"sample {s}, level {l + 1}, class {int(best[s, l]) + 1}: "
+            f"probability is NaN"
+        )
+    return best.astype(np.int64)
 
 
 def _path_scores(
@@ -151,8 +167,9 @@ def _path_scores(
             f"sample {s}, level {levels[j] + 1}, class {order[j] + 1}: "
             f"probability {p[s, j]} is outside [0, 1]"
         )
+    score = p.astype(np.float64)
     with np.errstate(divide="ignore"):
-        score = np.log(p.astype(np.float64))
+        np.log(score, out=score)
     for d in range(1, enc.num_levels):
         lo, hi = starts[d], starts[d + 1]
         score[:, lo:hi] += np.take(score, up[lo:hi], axis=1)
@@ -176,7 +193,8 @@ def _ranked(
     # one whose key is no worse than the one that fills the k-th place: with
     # the ones ahead first, that key is the k-th smallest.
     k = min(k, n)
-    kth = np.partition(primary, k - 1, axis=1)[:, k - 1 : k]
+    # A copy, so the (b, n) array that np.partition returns is freed.
+    kth = np.partition(primary, k - 1, axis=1)[:, k - 1 : k].copy()
     ahead = primary < kth
     at = primary == kth
     tied = np.where(at, key, np.inf)

@@ -26,6 +26,9 @@ from .tree import PAD, TreeEncoding
 
 NEG_INF = float("-inf")
 
+# Entries per block of whole rows in the loss's log-sum-exp (at least one row).
+_BLOCK_ENTRIES = 1 << 18
+
 
 def _check_mask_value(mask_value: float) -> float:
     mask_value = float(mask_value)
@@ -189,9 +192,12 @@ def cross_entropy(flat: FlatTrainingSet, reduction: str = "mean") -> LossResult:
     Only rows masked with ``-inf`` are supported: exp(-inf) is exactly
     zero, so excluded classes drop out of the normalizer. The cost is
     one scan of the rows for their live (not ``-inf``) entries, then
-    float64 work on those entries alone. The per-row losses and their
-    mean (or sum) are returned. Rows must be integer or real float and
-    labels integer; other dtypes raise ``ShapeError``.
+    float64 work on those entries alone. Whole rows are taken in blocks
+    of a fixed number of entries, so the working set beyond the
+    ``O(num_rows)`` outputs stays the same at any batch size, and each
+    row's loss is the same as over all rows at once. The per-row losses
+    and their mean (or sum) are returned. Rows must be integer or real
+    float and labels integer; other dtypes raise ``ShapeError``.
     """
     if flat.mask_value != NEG_INF:
         raise UnsupportedMaskValue(
@@ -216,18 +222,26 @@ def cross_entropy(flat: FlatTrainingSet, reduction: str = "mean") -> LossResult:
         )
     # exp(-inf) is 0, so only the live entries count. Row-major, each
     # row's live entries are one segment, never empty: its label is live.
-    # The indices go before the float64 work, to keep the peak low.
-    live = np.flatnonzero(rows != NEG_INF)
-    starts = np.searchsorted(live, np.arange(num_rows) * n)
-    vals = np.ravel(rows)[live].astype(np.float64)
-    del live
-    # Shift each segment by its max so exp never overflows. NaN or +inf
-    # in a live entry makes the row's loss non-finite, and the check
-    # below raises rather than numpy warning about inf - inf.
-    m = np.maximum.reduceat(vals, starts)
-    with np.errstate(invalid="ignore"):
-        vals -= np.repeat(m, np.diff(starts, append=vals.size))
-    lse = np.log(np.add.reduceat(np.exp(vals, out=vals), starts)) + m
+    # Whole rows go in blocks of about _BLOCK_ENTRIES entries, so the mask,
+    # indices and float64 values below stay that size at any batch; each
+    # row is still one segment, summed in the same order.
+    lse = np.empty(num_rows)
+    step = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, num_rows, step):
+        block = rows[lo : lo + step]
+        # The indices go before the float64 work, to keep the peak low.
+        live = np.flatnonzero(block != NEG_INF)
+        starts = np.searchsorted(live, np.arange(block.shape[0]) * n)
+        vals = np.ravel(block)[live].astype(np.float64)
+        del live
+        # Shift each segment by its max so exp never overflows. NaN or +inf
+        # in a live entry makes the row's loss non-finite, and the check
+        # below raises rather than numpy warning about inf - inf.
+        m = np.maximum.reduceat(vals, starts)
+        with np.errstate(invalid="ignore"):
+            vals -= np.repeat(m, np.diff(starts, append=vals.size))
+        sums = np.add.reduceat(np.exp(vals, out=vals), starts)
+        lse[lo : lo + step] = np.log(sums) + m
     per_row = lse - label_scores
     if not np.isfinite(per_row).all():
         i = int(np.argmax(~np.isfinite(per_row)))

@@ -145,6 +145,20 @@ def cross_entropy_dense(scores_row, members, label):
     return float(lse - np.float64(scores_row[label]))
 
 
+def cross_entropy_whole_matrix(rows, labels):
+    """Per-row losses from one pass over all rows at once: every live
+    (not -inf) entry gathered as float64 and each row's segment reduced,
+    so each row is summed in the same order as by a blocked pass."""
+    num_rows, n = rows.shape
+    live = np.flatnonzero(rows != -np.inf)
+    starts = np.searchsorted(live, np.arange(num_rows) * n)
+    vals = np.ravel(rows)[live].astype(np.float64)
+    m = np.maximum.reduceat(vals, starts)
+    vals = vals - np.repeat(m, np.diff(starts, append=vals.size))
+    lse = np.log(np.add.reduceat(np.exp(vals), starts)) + m
+    return lse - rows[np.arange(num_rows), labels].astype(np.float64)
+
+
 def joint_log_prob(logp, path):
     """Per-level log probabilities summed left to right, like the decoders."""
     s = float(logp[0, path[0]])

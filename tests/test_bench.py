@@ -11,7 +11,7 @@ from semtree import (
     generate_synthetic,
     run_bench,
 )
-from semtree import bench
+from semtree import bench, transforms
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,21 @@ class TestRunBench:
     def test_memory_guard(self, small_encoding):
         with pytest.raises(InsufficientMemory, match="available"):
             run_bench(small_encoding, 10**12, 3)
+
+    def test_memory_estimate_follows_the_blocked_loss(self, small_encoding, monkeypatch):
+        # The scores, the partitioned tensor, the flattened rows and one
+        # block of the loss (24 bytes an entry); no longer a third tensor's
+        # worth for the loss, which at batch 2000 is more than one block.
+        batch, n, L = 2000, small_encoding.num_classes, small_encoding.num_levels
+        scores, parts = bench.scores_bytes(batch, n), bench.partitioned_bytes(batch, L, n)
+        new = scores + 2 * parts + 24 * max(transforms._BLOCK_ENTRIES, n)
+        old = scores + 3 * parts
+        assert new < old
+        monkeypatch.setattr(bench, "_available_bytes", lambda: new - 1)
+        with pytest.raises(InsufficientMemory, match=f"{new:,} bytes"):
+            run_bench(small_encoding, batch, 3)
+        monkeypatch.setattr(bench, "_available_bytes", lambda: old - 1)
+        assert run_bench(small_encoding, batch, 3).loss_ns > 0
 
 
 class TestRendering:

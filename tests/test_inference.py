@@ -165,6 +165,21 @@ class TestNaiveDecode:
         seq = naive_decode(probs)[0]
         assert seq[0] == 1 and seq[2] == 6
 
+    def test_rejects_nan_probability(self, toy_encoding):
+        # All NaN once decoded silently to [[0, 0]]; one NaN beside real
+        # probabilities is found too.
+        with pytest.raises(ParameterError, match="sample 0, level 1, class 1"):
+            naive_decode(LevelProbabilities(data=np.full((1, 2, 3), np.nan)))
+        data = random_probs(np.random.default_rng(50), toy_encoding).data.copy()
+        data[2, 1, 4] = np.nan
+        with pytest.raises(ParameterError, match="sample 2, level 2, class 5"):
+            naive_decode(LevelProbabilities(data=data))
+
+    def test_rejects_wrong_rank(self):
+        # A 2-d input once raised NumPy's AxisError.
+        with pytest.raises(ShapeError, match="3-d"):
+            naive_decode(LevelProbabilities(data=np.zeros((2, 3))))
+
 
 DECODERS = {
     "naive": lambda enc, probs: naive_decode(probs),

@@ -26,6 +26,7 @@ from semtree import (
     generate_synthetic,
     map_labels,
     partition_scores,
+    transforms,
 )
 
 TOY_LABELS_DISPLAY = np.array([4, 7, 2, 6, 3])
@@ -405,6 +406,61 @@ class TestCrossEntropy:
         finally:
             tracemalloc.stop()
         assert peak < flat.rows.nbytes
+
+    @pytest.mark.parametrize(
+        "num_rows, n, block, dtype",
+        [
+            (600, 1000, None, np.float32),  # several blocks of the default size
+            (41, 30, 100, np.float64),  # three rows a block, the last block short
+            (7, 100, 64, np.float32),  # each row wider than one block
+        ],
+    )
+    def test_blocks_equal_the_whole_matrix(self, monkeypatch, num_rows, n, block, dtype):
+        if block is not None:
+            monkeypatch.setattr(transforms, "_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(27)
+        rows = (rng.standard_normal((num_rows, n)) * 5).astype(dtype)
+        rows[rng.random(rows.shape) < 0.6] = NEG_INF
+        labels = rng.integers(0, n, size=num_rows)
+        rows[np.arange(num_rows), labels] = rng.standard_normal(num_rows)
+        result = cross_entropy(_hand_built(rows, labels))
+        want = oracles.cross_entropy_whole_matrix(rows, labels)
+        np.testing.assert_array_equal(result.per_row, want)
+        assert result.value == want.mean()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_toy_blocks_equal_the_whole_matrix(self, monkeypatch, toy_encoding, dtype):
+        monkeypatch.setattr(transforms, "_BLOCK_ENTRIES", 2 * 9)
+        scores = toy_scores().astype(dtype)
+        flat = _flat_from(toy_encoding, scores, TOY_LABELS_DISPLAY - 1)
+        want = oracles.cross_entropy_whole_matrix(flat.rows, flat.labels)
+        np.testing.assert_array_equal(cross_entropy(flat).per_row, want)
+
+    def test_peak_memory_does_not_grow_with_the_batch(self):
+        # Every sample takes the same deepest label, so batch 256 is batch
+        # 16 repeated and its blocks hold the same live entries; beyond them
+        # it may only add its O(num_rows) arrays.
+        tax = generate_synthetic(SyntheticTreeSpec(10_000, 8, seed=0))
+        enc = encode(tax)
+        scores = np.random.default_rng(28).standard_normal(
+            (16, enc.num_classes), dtype=np.float32
+        )
+        labels = np.full(16, int(np.argmax(enc.level_of)))
+        small = _flat_from(enc, scores, labels)
+        large = FlatTrainingSet(
+            rows=np.tile(small.rows, (16, 1)),
+            labels=np.tile(small.labels, 16),
+            origin=np.tile(small.origin, (16, 1)),
+        )
+        peaks = []
+        for flat in (small, large):
+            tracemalloc.start()
+            try:
+                cross_entropy(flat)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 64 * (large.num_rows - small.num_rows)
 
 
 def _hand_built(rows, labels):
