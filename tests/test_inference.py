@@ -146,6 +146,33 @@ class TestSoftmaxLevels:
         with pytest.raises(CorruptEncoding):
             softmax_levels(parts)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_live_score_spoils_only_its_slice(self, toy_encoding, value):
+        scores = np.arange(18, dtype=np.float64).reshape(2, 9)
+        data = partition_scores(toy_encoding, scores).data.copy()
+        data[1, 1, 4] = value  # class 5 sits on level 2
+        parts = PartitionedScores(data=data)
+        with np.errstate(invalid="ignore"):
+            got = softmax_levels(parts).data
+            want = oracles.softmax_levels_reference(parts)
+        np.testing.assert_array_equal(got, want)
+        spoiled = np.zeros((2, 3), dtype=bool)
+        spoiled[1, 1] = True
+        np.testing.assert_array_equal(np.isnan(got).all(axis=2), spoiled)
+        np.testing.assert_array_equal(np.isnan(got).any(axis=2), spoiled)
+
+    @pytest.mark.parametrize(
+        "mask_value, fill",
+        [(NEG_INF, [-np.inf, np.nan, -np.inf]), (float("nan"), [np.nan] * 3)],
+        ids=["neg-inf-and-nan", "all-nan"],
+    )
+    def test_level_of_masks_and_nan_rejected(self, mask_value, fill):
+        data = np.zeros((2, 3, 3))
+        data[1, 2] = fill
+        parts = PartitionedScores(data=data, mask_value=mask_value)
+        with pytest.raises(CorruptEncoding, match="sample 1, level 3: every class"):
+            softmax_levels(parts)
+
 
 class TestNaiveDecode:
     def test_picks_per_level_argmax(self, toy_encoding):

@@ -1,5 +1,6 @@
 """Edge list parsing and the synthetic tree generator."""
 
+import hashlib
 import os
 import tempfile
 import tracemalloc
@@ -324,6 +325,27 @@ class TestGenerateSynthetic:
     def test_single_level_is_all_roots(self):
         tax = generate_synthetic(SyntheticTreeSpec(12, 1, seed=5))
         assert (tax.parents == -1).all()
+
+    # The benchmark's two trees and the ones the tests build. Their parents
+    # must stay byte for byte the same: the benchmark compares runs across
+    # versions, and test expectations were written against these trees.
+    @pytest.mark.parametrize(
+        "n, L, seed, digest",
+        [
+            (117_659, 20, 0, "c88239158700a3b9dbec6ea42eae9c92d850ccd8208b0b09793866cc64e51727"),
+            (10_000, 8, 0, "36c38cebfc54b045b42b0d3a9c0b601439f446585e8e7a7ff13260dedcb56620"),
+            (5000, 20, 3, "ba00557c97cf4e883403275111600a8b54dfbf76f577005b0a63b24437f12375"),
+            (2500, 10, 2, "6298e0d1266116a9fadbeefc52a4be68451ef8b192c41adcaa3765715b0e41cf"),
+            (1000, 20, 1, "c6c673a55cda3c83e9ed7001041e2cae2c601569f3206d2f84fedcfeb4a3013a"),
+            (800, 10, 0, "dbaf293e29cb1f7bde7fd809b75e19a5042985c394d1affac5b976d70a73141a"),
+            (400, 5, 3, "fcf1bff1c92ea226b7bc63bf1944a26e90888de580b6ed344b519a30cd12442c"),
+            (300, 7, 9, "dce6ebd689445bab3e4cc7d4ab59703b2422f8175165dcd5e67c94dd7d29a312"),
+            (300, 6, 8, "7e044d4bbe9d13fd62748b75b1ef5380827c44c65973cfc6aabff9d28a4fefe3"),
+        ],
+    )
+    def test_trees_are_pinned(self, n, L, seed, digest):
+        tax = generate_synthetic(SyntheticTreeSpec(n, L, seed=seed))
+        assert hashlib.sha256(tax.parents.tobytes()).hexdigest() == digest
 
     def test_depth_bias_pulls_classes_down(self):
         deep = generate_synthetic(SyntheticTreeSpec(2000, 8, seed=6, depth_bias=1.5))
