@@ -246,20 +246,6 @@ def beam_decode(
     return _ranked(enc, primary, None, k, score=score)
 
 
-def levenshtein(a, b) -> int:
-    """Edit distance between two sequences, O(min(len)) memory."""
-    a, b = list(a), list(b)
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, y in enumerate(b, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y))
-        prev = cur
-    return prev[len(b)]
-
-
 def _scan_levels(enc: TreeEncoding, naive: np.ndarray) -> np.ndarray:
     """Every path's edit distance to each naive sequence, (batch, n) in the
     level layout."""

@@ -7,10 +7,9 @@ so they can double as array indices.
 
 ``generate_synthetic`` builds trees of a requested size and depth for
 benchmarks: a spine guarantees one class per level, every other class
-attaches uniformly (or depth-biased) below it.
+attaches below it, with every eligible parent equally likely.
 """
 
-import math
 import os
 import re
 from dataclasses import dataclass
@@ -293,17 +292,11 @@ def write_edge_list(taxonomy: Taxonomy, path: Union[str, os.PathLike]) -> None:
 
 @dataclass(frozen=True)
 class SyntheticTreeSpec:
-    """Shape of a generated forest.
-
-    ``depth_bias`` skews where new classes attach: positive values favor
-    deep parents, negative ones shallow parents, zero weighs every
-    existing eligible class equally.
-    """
+    """Shape of a generated forest."""
 
     num_classes: int
     num_levels: int
     seed: int = 0
-    depth_bias: float = 0.0
 
 
 def generate_synthetic(spec: SyntheticTreeSpec) -> Taxonomy:
@@ -331,9 +324,11 @@ def generate_synthetic(spec: SyntheticTreeSpec) -> Taxonomy:
     # pools[d] holds the classes at depth d that may still take children
     # (only depths up to L-2 may, so no child ever exceeds depth L-1).
     pools: list[list[int]] = [[d] for d in range(L - 1)]
-    factors = [math.exp(spec.depth_bias * d) for d in range(L - 1)]
+    # Each class draws a depth weighted by its pool's size, then a class of
+    # that pool, so every eligible parent is equally likely. One draw over
+    # all of them would do the same, but give other trees for each seed.
     for c in range(L, n):
-        weights = [len(pool) * f for pool, f in zip(pools, factors)]
+        weights = [len(pool) for pool in pools]
         r = rng.random() * sum(weights)
         acc = 0.0
         d = L - 2

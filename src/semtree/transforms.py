@@ -11,7 +11,7 @@ scan of the rows plus work on the entries that are not ``-inf``.
 """
 
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,6 @@ class PathLabels:
     """Ancestral path per sample, shape (batch, num_levels), PAD-terminated."""
 
     data: np.ndarray
-
-    pad_value: ClassVar[int] = PAD
 
     @property
     def batch_size(self) -> int:
@@ -175,7 +173,7 @@ def flatten_for_training(
     b, L, n = parts.data.shape
     flat_rows = parts.data.reshape(b * L, n)
     flat_labels = labels.reshape(b * L)
-    keep = np.nonzero(flat_labels != PathLabels.pad_value)[0]
+    keep = np.nonzero(flat_labels != PAD)[0]
     sample, level = np.divmod(keep, L)
     origin = np.column_stack((sample, level)).astype(np.int64)
     return FlatTrainingSet(
@@ -186,7 +184,7 @@ def flatten_for_training(
     )
 
 
-def cross_entropy(flat: FlatTrainingSet, reduction: str = "mean") -> LossResult:
+def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     """Numerically stable cross entropy over the retained training rows.
 
     Only rows masked with ``-inf`` are supported: exp(-inf) is exactly
@@ -196,7 +194,7 @@ def cross_entropy(flat: FlatTrainingSet, reduction: str = "mean") -> LossResult:
     of a fixed number of entries, so the working set beyond the
     ``O(num_rows)`` outputs stays the same at any batch size, and each
     row's loss is the same as over all rows at once. The per-row losses
-    and their mean (or sum) are returned. Rows must be integer or real
+    and their mean are returned. Rows must be integer or real
     float and labels integer; other dtypes raise ``ShapeError``.
     """
     if flat.mask_value != NEG_INF:
@@ -204,8 +202,6 @@ def cross_entropy(flat: FlatTrainingSet, reduction: str = "mean") -> LossResult:
             "loss requires -inf masking; NaN or finite fills would "
             "corrupt the normalizer"
         )
-    if reduction not in ("mean", "sum"):
-        raise ParameterError(f"unknown reduction {reduction!r}")
     if flat.num_rows == 0:
         raise ParameterError("cannot reduce a loss over zero rows")
     rows = _check_dtype("rows", flat.rows)
@@ -246,5 +242,4 @@ def cross_entropy(flat: FlatTrainingSet, reduction: str = "mean") -> LossResult:
     if not np.isfinite(per_row).all():
         i = int(np.argmax(~np.isfinite(per_row)))
         raise InconsistentRow(f"row {i} produced a non-finite loss")
-    value = per_row.mean() if reduction == "mean" else per_row.sum()
-    return LossResult(value=float(value), per_row=per_row)
+    return LossResult(value=float(per_row.mean()), per_row=per_row)

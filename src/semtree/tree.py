@@ -15,12 +15,13 @@ A ``TreeEncoding`` holds these two matrices and nothing else. ``n`` and
 derived from ``masks`` on first use, cached and read-only.
 
 Class ids are 0-based in memory. File formats and CLI output show them
-1-based; ``display_ids`` / ``from_display`` convert between the two.
+1-based: ``display_ids`` shifts ids up, and the file readers shift them
+back down.
 """
 
 import functools
 from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +108,6 @@ class TreeEncoding:
 
     masks: np.ndarray  # bool (num_levels, num_classes), True = excluded
     paths: np.ndarray  # int32 (num_classes, num_levels), PAD-terminated rows
-
-    pad_value: ClassVar[int] = PAD
 
     def __post_init__(self):
         masks = np.asarray(self.masks)
@@ -369,9 +368,3 @@ def display_ids(a: np.ndarray, pad: int = PAD) -> np.ndarray:
     """Shift 0-based ids to the 1-based form used by files and the CLI."""
     a = np.asarray(a)
     return np.where(a == pad, pad, a + 1)
-
-
-def from_display(a: np.ndarray, pad: int = PAD) -> np.ndarray:
-    """Inverse of ``display_ids``."""
-    a = np.asarray(a)
-    return np.where(a == pad, pad, a - 1)

@@ -347,11 +347,6 @@ class TestGenerateSynthetic:
         tax = generate_synthetic(SyntheticTreeSpec(n, L, seed=seed))
         assert hashlib.sha256(tax.parents.tobytes()).hexdigest() == digest
 
-    def test_depth_bias_pulls_classes_down(self):
-        deep = generate_synthetic(SyntheticTreeSpec(2000, 8, seed=6, depth_bias=1.5))
-        shallow = generate_synthetic(SyntheticTreeSpec(2000, 8, seed=6, depth_bias=-1.5))
-        assert class_depths(deep.parents).mean() > class_depths(shallow.parents).mean()
-
     def test_too_few_classes(self):
         with pytest.raises(ParameterError):
             generate_synthetic(SyntheticTreeSpec(3, 4))

@@ -44,9 +44,7 @@ PUBLIC_NAMES = [
     "display_ids",
     "encode",
     "flatten_for_training",
-    "from_display",
     "generate_synthetic",
-    "levenshtein",
     "levenshtein_decode",
     "map_labels",
     "measured_bytes",
