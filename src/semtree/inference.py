@@ -79,8 +79,8 @@ def softmax_levels(parts: PartitionedScores) -> LevelProbabilities:
     exactly, whereas a finite fill would soak up probability mass. Real
     float input keeps its dtype, integer input gives float64 and other
     dtypes raise ``ShapeError``. The output is the one (b, L, n) array
-    made, so the peak is about the output's size; the checks add a
-    boolean array of the same shape.
+    made, so the peak is about the output's size. A slice with no live
+    (not masked) class raises ``CorruptEncoding``.
     """
     mask_value = parts.mask_value
     if not (mask_value == NEG_INF or np.isnan(mask_value)):
@@ -92,13 +92,16 @@ def softmax_levels(parts: PartitionedScores) -> LevelProbabilities:
         data = data.astype(np.float64)
     elif np.isnan(mask_value):
         data = np.where(np.isnan(data), NEG_INF, data)
-    live = (data > NEG_INF).any(axis=2)
-    if not live.all():
-        b, l = (int(x) for x in np.argwhere(~live)[0])
+    # fmax skips NaN, so a slice's max is -inf, or NaN, only when no entry
+    # is live. A slice holding NaN besides a live entry still comes out
+    # all NaN: the NaN survives the shift and spoils the slice's sum.
+    m = np.fmax.reduce(data, axis=2, keepdims=True)
+    dead = ~(m[:, :, 0] > NEG_INF)
+    if dead.any():
+        b, l = (int(x) for x in np.argwhere(dead)[0])
         raise CorruptEncoding(
             f"sample {b}, level {l + 1}: every class is masked out"
         )
-    m = data.max(axis=2, keepdims=True)
     # One (b, L, n) buffer: the shift goes into a copy made above, or makes
     # the buffer; exp and the division then work in place.
     e = np.subtract(data, m, out=None if data is parts.data else data)
