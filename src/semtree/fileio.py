@@ -26,7 +26,13 @@ import numpy as np
 
 from .errors import FormatError, ShapeError
 from .tree import PAD, TreeEncoding, display_ids, validate
-from .transforms import NEG_INF, FlatTrainingSet, PartitionedScores, PathLabels
+from .transforms import (
+    NEG_INF,
+    FlatTrainingSet,
+    PartitionedScores,
+    PathLabels,
+    _check_dtype,
+)
 
 Pathish = Union[str, os.PathLike]
 
@@ -160,8 +166,9 @@ def _read(stream, size: int, fmt: _Format) -> list:
 def _write(dest, fmt: _Format, dims: tuple, arrays, mask_value=None) -> None:
     """Write one container to a binary stream, or to a new file at a path.
 
-    Each array must have the shape the table gives for ``dims``. That is
-    checked before a file is opened, so a mismatch leaves no file behind.
+    Each array must have the shape the table gives for ``dims``, and be
+    integer, or real float where the table stores floats. That is checked
+    before a file is opened, so a mismatch leaves no file behind.
     """
     if len(dims) != fmt.dims:
         raise ShapeError(
@@ -170,11 +177,12 @@ def _write(dest, fmt: _Format, dims: tuple, arrays, mask_value=None) -> None:
         )
     specs = fmt.layout(*dims)
     for i, (spec, a) in enumerate(zip(specs, arrays, strict=True)):
+        name = f"{fmt.magic.decode()} payload array {i + 1}"
         if np.shape(a) != spec.shape:
-            raise ShapeError(
-                f"{fmt.magic.decode()} payload array {i + 1} has shape "
-                f"{np.shape(a)}, expected {spec.shape}"
-            )
+            raise ShapeError(f"{name} has shape {np.shape(a)}, expected {spec.shape}")
+        # The u1 mask comes from a TreeEncoding, which holds it as bool.
+        if spec.dtype != "u1":
+            _check_dtype(name, a, floats=spec.dtype == "<f4")
     mode = _mask_mode(mask_value) if fmt.masked else ()
     is_path = isinstance(dest, (str, os.PathLike))
     with open(dest, "wb") if is_path else contextlib.nullcontext(dest) as stream:
@@ -248,7 +256,7 @@ def read_encoding(path: Pathish, check: bool = True) -> TreeEncoding:
 
 
 def write_scores(scores: np.ndarray, path: Pathish) -> None:
-    scores = np.asarray(scores)
+    scores = _check_dtype("scores", scores)
     if scores.ndim != 2:
         raise ShapeError(f"scores must be 2-d, got shape {scores.shape}")
     if _is_csv(path):
@@ -328,9 +336,9 @@ def _check_csv_size(
 
 
 def write_labels(labels: np.ndarray, path: Pathish) -> None:
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
-        raise ShapeError("labels must be a 1-d integer array")
+    labels = _check_dtype("labels", labels, floats=False)
+    if labels.ndim != 1:
+        raise ShapeError(f"labels must be 1-d, got shape {labels.shape}")
     if (labels < 0).any():
         raise ShapeError("labels must be non-negative class ids")
     if _is_csv(path):

@@ -1,5 +1,7 @@
 """Round trips and corruption handling for every file format."""
 
+import dataclasses
+import re
 import struct
 import tracemalloc
 from unittest import mock
@@ -15,6 +17,7 @@ from semtree import (
     FlatTrainingSet,
     FormatError,
     NEG_INF,
+    PartitionedScores,
     PathLabels,
     ShapeError,
     Taxonomy,
@@ -133,6 +136,17 @@ class TestScoreFiles:
         with pytest.raises(ShapeError):
             fileio.write_scores(np.zeros(4), tmp_path / "x.bin")
 
+    # Complex scores were written as their real part, bool ones as 0/1, and
+    # strings and objects as the floats they parse to.
+    @pytest.mark.parametrize("name", ["x.bin", "x.csv"])
+    @pytest.mark.parametrize("dtype", [np.complex128, bool, object, str])
+    def test_refuses_non_real_scores(self, scores, tmp_path, name, dtype):
+        p = tmp_path / name
+        bad = scores.astype(dtype)
+        with pytest.raises(ShapeError, match=re.escape(str(bad.dtype))):
+            fileio.write_scores(bad, p)
+        assert not p.exists()
+
 
 # How each CSV reader counts the fields of a line, and whether it wants one.
 CSV_FIELDS = {
@@ -216,6 +230,13 @@ class TestLabelFiles:
         with pytest.raises(ShapeError):
             fileio.write_labels(np.array([0, -1]), tmp_path / "x.bin")
 
+    @pytest.mark.parametrize("name", ["x.bin", "x.csv"])
+    def test_float_labels_rejected_on_write(self, tmp_path, name):
+        p = tmp_path / name
+        with pytest.raises(ShapeError, match="labels must be integers, not float64"):
+            fileio.write_labels(np.array([0.7, 2.9]), p)
+        assert not p.exists()
+
 
 class TestPathLabelFiles:
     def test_round_trip(self, enc, tmp_path):
@@ -235,6 +256,13 @@ class TestPathLabelFiles:
         p = tmp_path / "paths.bin"
         with pytest.raises(ShapeError, match="dimensions"):
             fileio.write_path_labels(PathLabels(data=np.zeros(3, dtype=np.int64)), p)
+        assert not p.exists()
+
+    def test_float_labels_rejected_on_write(self, tmp_path):
+        # They were written as [0, 2] and read back so.
+        p = tmp_path / "paths.bin"
+        with pytest.raises(ShapeError, match="HTPL payload array 1 .* float64"):
+            fileio.write_path_labels(PathLabels(data=np.array([[0.7, 2.9]])), p)
         assert not p.exists()
 
     def test_zero_entry_rejected(self, tmp_path):
@@ -277,6 +305,14 @@ class TestPartitionedFiles:
         assert got.mask_value == -7.5
         np.testing.assert_array_equal(got.data, parts.data)
 
+    def test_bool_data_rejected_on_write(self, enc, scores, tmp_path):
+        parts = partition_scores(enc, scores)
+        bad = PartitionedScores(data=parts.data > 0)
+        p = tmp_path / "parts.bin"
+        with pytest.raises(ShapeError, match="HTPT payload array 1 .* bool"):
+            fileio.write_partitioned(bad, p)
+        assert not p.exists()
+
     def test_unknown_mode_rejected(self, tmp_path):
         p = tmp_path / "parts.bin"
         p.write_bytes(struct.pack("<4sHIIIBf", b"HTPT", 1, 1, 1, 1, 7, 0.0) + b"\x00" * 4)
@@ -314,6 +350,16 @@ class TestFlatFiles:
         p = tmp_path / "flat.bin"
         with pytest.raises(ShapeError, match="shape"):
             fileio.write_flat(flat, p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("field, array", [("labels", 2), ("origin", 3)])
+    def test_float_ids_rejected_on_write(self, enc, scores, tmp_path, field, array):
+        parts = partition_scores(enc, scores)
+        flat = flatten_for_training(parts, map_labels(enc, np.array([3, 6, 1, 5, 2])))
+        bad = dataclasses.replace(flat, **{field: getattr(flat, field) + 0.5})
+        p = tmp_path / "flat.bin"
+        with pytest.raises(ShapeError, match=f"HTFT payload array {array} .* float64"):
+            fileio.write_flat(bad, p)
         assert not p.exists()
 
     def test_labels_stored_one_based(self, enc, scores, tmp_path):
