@@ -165,7 +165,7 @@ class TestSoftmaxLevels:
         [(NEG_INF, [-np.inf, np.nan, -np.inf]), (float("nan"), [np.nan] * 3)],
         ids=["neg-inf-and-nan", "all-nan"],
     )
-    def test_level_of_masks_and_nan_rejected(self, mask_value, fill):
+    def test_slice_of_masks_and_nan_rejected(self, mask_value, fill):
         data = np.zeros((2, 3, 3))
         data[1, 2] = fill
         parts = PartitionedScores(data=data, mask_value=mask_value)
