@@ -109,27 +109,46 @@ def _mask_value(mode: int, fill: float) -> float:
 # -- the container -------------------------------------------------------------
 
 
+def _outside(a: np.ndarray, name: str, low: int, high: Optional[int], pad: bool):
+    """The message naming a's first entry outside low..high (PAD allowed
+    with ``pad``), or None if there is none."""
+    # The two reductions need no temporaries; masks are built only on a miss.
+    if a.size == 0 or (a.min() >= low and (high is None or a.max() <= high)):
+        return None
+    bad = a < low
+    if high is not None:
+        bad |= a > high
+    if pad:
+        bad &= a != PAD
+    if not bad.any():
+        return None
+    at = np.unravel_index(np.argmax(bad), a.shape)
+    valid = f"{low}..{'' if high is None else high}"
+    return (
+        f"{name} {int(a[at])} at position {', '.join(str(i + 1) for i in at)} "
+        f"is not in " + (f"{valid} or {PAD}" if pad else valid)
+    )
+
+
 def _decode(a: np.ndarray, spec: _Array) -> None:
     """Reject entries outside the spec's range, then make ids 0-based in place."""
-    if spec.low is None or a.size == 0:
+    if spec.low is None:
         return
-    # The two reductions need no temporaries; masks are built only on a miss.
-    if a.min() < spec.low or (spec.high is not None and a.max() > spec.high):
-        bad = a < spec.low
-        if spec.high is not None:
-            bad |= a > spec.high
-        if spec.pad:
-            bad &= a != PAD
-        if bad.any():
-            at = np.unravel_index(np.argmax(bad), a.shape)
-            valid = f"{spec.low}..{'' if spec.high is None else spec.high}"
-            raise FormatError(
-                f"{spec.name} {int(a[at])} at position "
-                f"{', '.join(str(i + 1) for i in at)} is not in "
-                + (f"{valid} or {PAD}" if spec.pad else valid)
-            )
+    if message := _outside(a, spec.name, spec.low, spec.high, spec.pad):
+        raise FormatError(message)
     if spec.ids:
         np.subtract(a, 1, out=a, where=(a != PAD) if spec.pad else True)
+
+
+def _check_range(name: str, a: np.ndarray, spec: _Array) -> None:
+    """Refuse, with ``ShapeError``, entries that the spec's reader would
+    refuse once written; ids are checked in their 0-based form."""
+    if spec.low is None:
+        return
+    shift = 1 if spec.ids else 0
+    high = None if spec.high is None else spec.high - shift
+    if message := _outside(a, f"{name} entry", spec.low - shift, high, spec.pad):
+        raise ShapeError(message)
 
 
 def _read(stream, size: int, fmt: _Format) -> list:
@@ -166,9 +185,10 @@ def _read(stream, size: int, fmt: _Format) -> list:
 def _write(dest, fmt: _Format, dims: tuple, arrays, mask_value=None) -> None:
     """Write one container to a binary stream, or to a new file at a path.
 
-    Each array must have the shape the table gives for ``dims``, and be
-    integer, or real float where the table stores floats. That is checked
-    before a file is opened, so a mismatch leaves no file behind.
+    Each array must have the shape the table gives for ``dims``, be
+    integer, or real float where the table stores floats, and hold only
+    entries its reader accepts. That is checked before a file is opened,
+    so a mismatch leaves no file behind.
     """
     if len(dims) != fmt.dims:
         raise ShapeError(
@@ -182,7 +202,7 @@ def _write(dest, fmt: _Format, dims: tuple, arrays, mask_value=None) -> None:
             raise ShapeError(f"{name} has shape {np.shape(a)}, expected {spec.shape}")
         # The u1 mask comes from a TreeEncoding, which holds it as bool.
         if spec.dtype != "u1":
-            _check_dtype(name, a, floats=spec.dtype == "<f4")
+            _check_range(name, _check_dtype(name, a, floats=spec.dtype == "<f4"), spec)
     mode = _mask_mode(mask_value) if fmt.masked else ()
     is_path = isinstance(dest, (str, os.PathLike))
     with open(dest, "wb") if is_path else contextlib.nullcontext(dest) as stream:
@@ -339,9 +359,9 @@ def write_labels(labels: np.ndarray, path: Pathish) -> None:
     labels = _check_dtype("labels", labels, floats=False)
     if labels.ndim != 1:
         raise ShapeError(f"labels must be 1-d, got shape {labels.shape}")
-    if (labels < 0).any():
-        raise ShapeError("labels must be non-negative class ids")
     if _is_csv(path):
+        (spec,) = _FORMATS["labels"].layout(labels.size)
+        _check_range("labels", labels, spec)
         _csv_cap(labels.size, "labels")
         np.savetxt(path, display_ids(labels), fmt="%d")
         return

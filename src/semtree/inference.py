@@ -11,8 +11,9 @@ zero. On top of that sit three decoders:
   returns the exact top k.
 * ``levenshtein_decode``: repairs a naive sequence by ranking every
   valid ancestral path by edit distance to it. Each path extends its
-  parent's, so the edit-distance rows are shared along the tree and a
-  sample costs n * (L + 1) DP cells; there is no limit on the batch.
+  parent's, so the edit-distance columns are shared along the tree; a
+  column is held as two words of L bits, so a sample costs n steps of a
+  few word operations each, and there is no limit on the batch.
 
 Both path decoders fill (batch, n) arrays level by level, each path's
 entry from its parent's, and share one top-k routine. Ties go to the
@@ -192,18 +193,21 @@ def _ranked(
     b, n = primary.shape
     if key is None:
         key = np.broadcast_to(rank, (b, n))
-    # Keep the paths ahead of the k-th primary value, and of those at it, every
-    # one whose key is no worse than the one that fills the k-th place: with
-    # the ones ahead first, that key is the k-th smallest.
     k = min(k, n)
     # A copy, so the (b, n) array that np.partition returns is freed.
     kth = np.partition(primary, k - 1, axis=1)[:, k - 1 : k].copy()
-    ahead = primary < kth
-    at = primary == kth
-    tied = np.where(at, key, np.inf)
-    tied[ahead] = -np.inf
-    tied.partition(k - 1, axis=1)
-    keep = ahead | (at & ~(key > tied[:, k - 1 : k]))
+    keep = primary <= kth
+    # Every row keeps at least k paths; one that keeps more has a tie at the
+    # k-th place. Then keep the paths ahead of the k-th primary value, and of
+    # those at it, every one whose key is no worse than the one that fills the
+    # k-th place: with the ones ahead first, that key is the k-th smallest.
+    if np.count_nonzero(keep) > b * k:
+        ahead = primary < kth
+        at = primary == kth
+        tied = np.where(at, key, np.inf)
+        tied[ahead] = -np.inf
+        tied.partition(k - 1, axis=1)
+        keep = ahead | (at & ~(key > tied[:, k - 1 : k]))
     s, c = np.nonzero(keep)
     classes = order[c]
     # Paths are distinct, and rank orders them as the paths themselves.
@@ -251,33 +255,51 @@ def beam_decode(
 
 def _scan_levels(enc: TreeEncoding, naive: np.ndarray) -> np.ndarray:
     """Every path's edit distance to each naive sequence, (batch, n) in the
-    level layout."""
+    level layout.
+
+    A path's DP column (distances from each naive prefix to the path) is
+    kept as its vertical deltas, each -1, 0 or +1: bit i of ``pv`` (``mv``)
+    is set where row i + 1 is one more (less) than row i. Extending a path
+    by one class is then Myers's bit-vector step (JACM 46(3), 1999) in
+    Hyyro's global form (2001): the top row grows by one per level, so the
+    top horizontal delta shifted in is a 1. A word is the narrowest
+    unsigned integer with at least L bits, or past 64 levels a Python int,
+    whose infinite two's complement keeps the same operations right. Bits
+    from L up only carry and shift upwards, so they never reach bit L - 1.
+    """
     order, starts, up, _ = enc._layout
     b, L = naive.shape
-    # A cell is an edit distance between sequences of at most L entries, so
-    # it never exceeds L, or L + 1 before a minimum.
+    # A distance between sequences of at most L entries never exceeds L.
     dtype = np.int16 if L < np.iinfo(np.int16).max else np.int32
-    seq = naive.T[:, :, None]
+    words = (np.uint8, np.uint16, np.uint32, np.uint64)
+    word = next((w for w in words if np.iinfo(w).bits >= L), object)
+    bit = np.array([1 << i for i in range(L)], dtype=word)
+    # eqs[s, j]: bit i set where naive entry i of sample s is column j's class.
+    col = np.empty(enc.num_classes, dtype=np.intp)
+    col[order] = np.arange(enc.num_classes)
+    eqs = np.zeros((b, enc.num_classes), dtype=word)
+    np.bitwise_or.at(eqs, (np.arange(b)[:, None], col[naive]), bit)
+    # The empty path: i deletions from the first i naive entries.
+    pv, mv = np.array((1 << L) - 1, dtype=word), np.array(0, dtype=word)
+    score, top = dtype(L), bit[-1]
     dist = np.empty((b, enc.num_classes), dtype=dtype)
-    # The empty path's row, at column -1 (the roots' parent): i deletions
-    # from the first i naive entries.
-    rows = np.broadcast_to(np.arange(L + 1, dtype=dtype)[:, None, None], (L + 1, b, 1))
     for d in range(L):
         lo, hi = starts[d], starts[d + 1]
-        cls = order[lo:hi]
-        # rows[i, s, j]: distance from sample s's first i entries to path j.
-        prev = np.take(rows, up[lo:hi] - (starts[d - 1] if d else -1), axis=2)
-        # The path's last class is an extra entry (prev[i] + 1) or stands
-        # against naive entry i (prev[i - 1] plus 1 on a mismatch).
-        cur = prev + 1
-        prev[:-1] += seq != cls
-        np.minimum(cur[1:], prev[:-1], out=cur[1:])
-        # The in-row chain cur[i] = min(cur[i], cur[i - 1] + 1), one position
-        # at a time: over this axis, minimum.accumulate runs ~20x slower.
-        for i in range(1, L + 1):
-            np.minimum(cur[i], cur[i - 1] + 1, out=cur[i])
-        rows = cur
-        dist[:, lo:hi] = cur[L]
+        if d:
+            parent = up[lo:hi] - starts[d - 1]
+            pv, mv = np.take(pv, parent, axis=1), np.take(mv, parent, axis=1)
+            score = np.take(dist, up[lo:hi], axis=1)
+        eq = eqs[:, lo:hi]
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        # The bottom row, at bit L - 1, is the distance to the whole sequence.
+        np.add(score, (ph & top) != 0, out=dist[:, lo:hi])
+        dist[:, lo:hi] -= (mh & top) != 0
+        ph = (ph << 1) | 1
+        pv = (mh << 1) | ~(xv | ph)
+        mv = ph & xv
     return dist
 
 
@@ -294,13 +316,14 @@ def levenshtein_decode(
     distance fall back to higher joint log probability when ``probs``
     is given, then to the lexicographically smaller sequence.
 
-    A path is its parent's path plus one class, so a class's DP row
+    A path is its parent's path plus one class, so a class's DP column
     (edit distances from each prefix of the naive sequence to the path)
-    is its parent's row extended by one step, as in a trie. Rows are
-    computed level by level for the whole batch at once: n * (L + 1)
-    cells per sample, with only two levels of int16 rows alive. There
-    is no limit on the batch: besides those rows, the decoder holds a
-    few (batch, n) arrays.
+    is its parent's column extended by one step, as in a trie. A column
+    is held as its vertical deltas in two words of L bits, and one step
+    is a dozen word operations (Myers's bit-vector algorithm). Columns
+    are computed level by level for the whole batch at once, with only
+    two levels of words alive. There is no limit on the batch: besides
+    those words, the decoder holds a few (batch, n) arrays.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"k must be an integer of at least 1, got {k!r}")

@@ -69,6 +69,18 @@ class TestEncodingFiles:
         # The arrays read are 1.0x the file; validate's checks add the rest.
         assert peak < 2 * p.stat().st_size
 
+    @pytest.mark.parametrize("entry", [9, -2])
+    def test_path_entry_out_of_range_rejected_on_write(self, enc, tmp_path, entry):
+        # Written as 1-based 10 (or -1, read back as padding) once.
+        paths = enc.paths.copy()
+        paths[8, 2] = entry
+        bad = dataclasses.replace(enc, paths=paths)
+        p = tmp_path / "tree.enc"
+        where = f"HTRE payload array 2 entry {entry} at position 9, 3 is not in 0..8 or -1"
+        with pytest.raises(ShapeError, match=re.escape(where)):
+            fileio.write_encoding(bad, p)
+        assert not p.exists()
+
 
 class TestScoreFiles:
     def test_binary_round_trip(self, scores, tmp_path):
@@ -227,8 +239,13 @@ class TestLabelFiles:
             fileio.read_labels(p)
 
     def test_negative_labels_rejected_on_write(self, tmp_path):
-        with pytest.raises(ShapeError):
-            fileio.write_labels(np.array([0, -1]), tmp_path / "x.bin")
+        # Named like every other id a writer refuses, binary or CSV.
+        for name, array in (("x.bin", "HTLB payload array 1"), ("x.csv", "labels")):
+            p = tmp_path / name
+            where = f"{array} entry -1 at position 2 is not in 0.."
+            with pytest.raises(ShapeError, match=re.escape(where) + "$"):
+                fileio.write_labels(np.array([0, -1]), p)
+            assert not p.exists()
 
     @pytest.mark.parametrize("name", ["x.bin", "x.csv"])
     def test_float_labels_rejected_on_write(self, tmp_path, name):
@@ -263,6 +280,14 @@ class TestPathLabelFiles:
         p = tmp_path / "paths.bin"
         with pytest.raises(ShapeError, match="HTPL payload array 1 .* float64"):
             fileio.write_path_labels(PathLabels(data=np.array([[0.7, 2.9]])), p)
+        assert not p.exists()
+
+    def test_id_below_padding_rejected_on_write(self, tmp_path):
+        # Written as 1-based -4, which read_path_labels refused.
+        p = tmp_path / "paths.bin"
+        where = "HTPL payload array 1 entry -5 at position 1, 1 is not in 0.. or -1"
+        with pytest.raises(ShapeError, match=re.escape(where)):
+            fileio.write_path_labels(PathLabels(data=np.array([[-5, 1]])), p)
         assert not p.exists()
 
     def test_zero_entry_rejected(self, tmp_path):
@@ -360,6 +385,23 @@ class TestFlatFiles:
         p = tmp_path / "flat.bin"
         with pytest.raises(ShapeError, match=f"HTFT payload array {array} .* float64"):
             fileio.write_flat(bad, p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize(
+        "field, array, value, at", [("labels", 2, -3, "2"), ("origin", 3, -2, "2, 1")]
+    )
+    def test_ids_out_of_range_rejected_on_write(
+        self, enc, scores, tmp_path, field, array, value, at
+    ):
+        # Written as they were, read_flat then refused them.
+        parts = partition_scores(enc, scores)
+        flat = flatten_for_training(parts, map_labels(enc, np.array([3, 6, 1, 5, 2])))
+        ids = getattr(flat, field).copy()
+        ids[1] = value
+        p = tmp_path / "flat.bin"
+        where = f"HTFT payload array {array} entry {value} at position {at} is not in 0.."
+        with pytest.raises(ShapeError, match=re.escape(where) + "$"):
+            fileio.write_flat(dataclasses.replace(flat, **{field: ids}), p)
         assert not p.exists()
 
     def test_labels_stored_one_based(self, enc, scores, tmp_path):

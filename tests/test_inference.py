@@ -17,6 +17,7 @@ from semtree import (
     PartitionedScores,
     ShapeError,
     SyntheticTreeSpec,
+    Taxonomy,
     UnsupportedMaskValue,
     beam_decode,
     encode,
@@ -26,6 +27,7 @@ from semtree import (
     partition_scores,
     softmax_levels,
 )
+from semtree.inference import _scan_levels
 
 
 def random_probs(rng, enc, batch=3):
@@ -366,6 +368,74 @@ class TestLevenshteinFunction:
             a = rng.integers(0, 4, size=7).tolist()
             b = rng.integers(0, 4, size=3).tolist()
             assert oracles.lev_table(a, b) == oracles.lev_table(b, a)
+
+
+def chain_with_forest(rng, depth, extra=40):
+    """A chain of ``depth`` classes with a random forest of ``extra`` classes
+    grafted on anywhere above the chain's last level, ids shuffled."""
+    parents, level = list(range(-1, depth - 1)), list(range(depth))
+    for _ in range(extra):
+        shallow = [c for c in range(len(parents)) if level[c] < depth - 1]
+        p = -1 if not shallow or rng.random() < 0.1 else int(rng.choice(shallow))
+        parents.append(p)
+        level.append(level[p] + 1 if p >= 0 else 0)
+    perm = rng.permutation(len(parents))
+    relabeled = np.full(len(parents), -1, dtype=np.int64)
+    for c, p in enumerate(parents):
+        if p >= 0:
+            relabeled[perm[c]] = perm[p]
+    return Taxonomy(parents=relabeled)
+
+
+def hard_naive_sequences(rng, tax, depth):
+    """Random sequences, one class repeated throughout, and real paths padded
+    with repeats of their last class."""
+    n = len(tax.parents)
+    rows = [rng.integers(0, n, size=depth) for _ in range(3)]
+    rows += [np.full(depth, rng.integers(n)) for _ in range(2)]
+    deepest = max(range(n), key=lambda c: oracles.depth_of(tax.parents, c))
+    for c in rng.integers(0, n, size=3).tolist() + [deepest]:
+        path = oracles.path_of(tax.parents, c)
+        rows.append(np.array(path + path[-1:] * (depth - len(path))))
+    return np.stack(rows)
+
+
+class TestBitParallelScan:
+    """The scan's words are uint8 up to 8 levels, then uint16, uint32, uint64
+    and past 64 levels Python ints: each side of every boundary is checked
+    against the int16 DP."""
+
+    @pytest.mark.parametrize("depth", [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 80])
+    def test_equals_the_dp_at_every_word_boundary(self, depth):
+        rng = np.random.default_rng(60 + depth)
+        tax = chain_with_forest(rng, depth)
+        enc = encode(tax)
+        assert enc.num_levels == depth
+        naive = hard_naive_sequences(rng, tax, depth)
+        got = _scan_levels(enc, naive)
+        want = oracles.scan_levels_reference(enc, naive)
+        assert got.dtype == want.dtype == np.int16
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("with_probs", [False, True])
+    def test_decoder_past_64_levels_matches_scan(self, with_probs):
+        rng = np.random.default_rng(62)
+        tax = chain_with_forest(rng, 65)
+        enc = encode(tax)
+        naive = hard_naive_sequences(rng, tax, 65)[[0, 3, 5]]
+        probs = random_probs(rng, enc, batch=3)
+        logp = log_probs(probs)
+        k = enc.num_classes
+        decoded = levenshtein_decode(enc, naive, k, probs=probs if with_probs else None)
+        for i, sample in enumerate(decoded):
+            want = oracles.nearest_paths(
+                tax.parents, naive[i].tolist(), k, logp=logp[i] if with_probs else None
+            )
+            if with_probs:
+                got = [(h.distance, h.score, h.classes) for h in sample]
+            else:
+                got = [(h.distance, h.classes) for h in sample]
+            assert got == want
 
 
 class TestLevenshteinDecode:
