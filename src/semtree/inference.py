@@ -81,7 +81,8 @@ def softmax_levels(parts: PartitionedScores) -> LevelProbabilities:
     float input keeps its dtype, integer input gives float64 and other
     dtypes raise ``ShapeError``. The output is the one (b, L, n) array
     made, so the peak is about the output's size. A slice with no live
-    (not masked) class raises ``CorruptEncoding``.
+    (not masked) class raises ``CorruptEncoding``, and one whose live
+    scores hold NaN or ``+inf`` raises ``ParameterError``.
     """
     mask_value = parts.mask_value
     if not (mask_value == NEG_INF or np.isnan(mask_value)):
@@ -94,8 +95,8 @@ def softmax_levels(parts: PartitionedScores) -> LevelProbabilities:
     elif np.isnan(mask_value):
         data = np.where(np.isnan(data), NEG_INF, data)
     # fmax skips NaN, so a slice's max is -inf, or NaN, only when no entry
-    # is live. A slice holding NaN besides a live entry still comes out
-    # all NaN: the NaN survives the shift and spoils the slice's sum.
+    # is live. A NaN or +inf beside a live entry survives the shift as NaN
+    # and spoils the slice's sum, which is where it is caught.
     m = np.fmax.reduce(data, axis=2, keepdims=True)
     dead = ~(m[:, :, 0] > NEG_INF)
     if dead.any():
@@ -105,9 +106,16 @@ def softmax_levels(parts: PartitionedScores) -> LevelProbabilities:
         )
     # One (b, L, n) buffer: the shift goes into a copy made above, or makes
     # the buffer; exp and the division then work in place.
-    e = np.subtract(data, m, out=None if data is parts.data else data)
+    with np.errstate(invalid="ignore"):
+        e = np.subtract(data, m, out=None if data is parts.data else data)
     np.exp(e, out=e)
-    e /= e.sum(axis=2, keepdims=True)
+    total = e.sum(axis=2, keepdims=True)
+    if np.isnan(total.sum()):  # any NaN slice sum; no (b, L) mask is kept
+        b, l = (int(x) for x in np.argwhere(np.isnan(total[:, :, 0]))[0])
+        raise ParameterError(
+            f"sample {b}, level {l + 1}: a live score is NaN or +inf"
+        )
+    e /= total
     return LevelProbabilities(data=e)
 
 

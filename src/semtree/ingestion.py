@@ -10,6 +10,8 @@ benchmarks: a spine guarantees one class per level, every other class
 attaches below it, with every eligible parent equally likely.
 """
 
+import bisect
+import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -53,24 +55,10 @@ _MAX_DIGITS = 18
 
 def _char_codes(text: str) -> np.ndarray:
     """One uint8 per character of ``text``; non-ASCII characters become
-    a space (whitespace) or 255 (anything else)."""
-    if text.isascii():
-        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    text = _NON_ASCII_SPACE.sub(" ", text)
-    wide = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    return np.minimum(wide, 255).astype(np.uint8)
-
-
-def _comments(codes: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Mask of the characters from each line's first ``#`` to its end."""
-    at = np.flatnonzero(codes == ord("#"))
-    line = np.searchsorted(ends, at)
-    first = np.diff(line, prepend=-1) != 0
-    at, stop = at[first], np.append(ends, codes.size)[line[first]]
-    edges = np.zeros(codes.size + 1, dtype=np.int8)
-    edges[at] = 1
-    edges[stop] -= 1
-    return np.cumsum(edges[:-1], dtype=np.int8).view(bool)
+    a space (whitespace) or ``?`` (anything else)."""
+    if not text.isascii():
+        text = _NON_ASCII_SPACE.sub(" ", text)
+    return np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
 
 
 def _token_values(text, codes, space, starts, stops):
@@ -125,31 +113,35 @@ def parse_edge_list(
 
     A file is read once, as UTF-8 text with universal newlines; an
     iterable gives one line per element, even when an element holds a
-    newline. The text is then parsed by array passes over its character
-    codes: token bounds, their lines, their values and every fault, with
-    Python only for tokens ``int()`` must judge (signs, underscores,
-    non-ASCII digits, more than 18 digits). An error on a line names the
-    earliest faulty line, 1-based, with the fault a line-by-line reading
-    would meet first there; then come an empty list, an undeclared
-    parent and a gap in the ids, in that order.
+    newline. Comments are cut from the text before the array passes
+    over its character codes: token bounds, their lines, their values
+    and every fault, with Python only for tokens ``int()`` must judge
+    (signs, underscores, non-ASCII digits, more than 18 digits). An
+    error on a line names the earliest faulty line, 1-based, with the
+    fault a line-by-line reading would meet first there; then come an
+    empty list, an undeclared parent and a gap in the ids, in that
+    order.
     """
     if policy not in ("first", "reject"):
         raise ParameterError(f"unknown multi-parent policy {policy!r}")
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as f:
             text = f.read()
+        if "#" in text:
+            text = re.sub(r"#[^\n]*", "", text)
         codes = _char_codes(text)
         ends = np.flatnonzero(codes == ord("\n"))
     else:
         lines = list(source)
         text = "\n".join(lines)
+        if "#" in text:  # a comment runs to the end of its element
+            lines = [line.partition("#")[0] for line in lines]
+            text = "\n".join(lines)
         codes = _char_codes(text)
         sizes = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
         ends = np.cumsum(sizes + 1) - 1  # where each element's separator sits
 
     space = _SPACE[codes]
-    if "#" in text:
-        space |= _comments(codes, ends)
     bounds = np.diff(space.view(np.int8), prepend=np.int8(1), append=np.int8(1))
     starts, stops = np.flatnonzero(bounds == -1), np.flatnonzero(bounds == 1)
     values, ok = _token_values(text, codes, space, starts, stops)
@@ -317,28 +309,22 @@ def generate_synthetic(spec: SyntheticTreeSpec) -> Taxonomy:
     parents = np.full(n, NO_PARENT, dtype=np.int32)
     if L == 1:
         return Taxonomy(parents=parents)  # a forest of roots
-    for d in range(1, L):
-        parents[d] = d - 1
+    parents[1:L] = np.arange(L - 1)
 
     rng = np.random.default_rng(spec.seed)
     # pools[d] holds the classes at depth d that may still take children
     # (only depths up to L-2 may, so no child ever exceeds depth L-1).
     pools: list[list[int]] = [[d] for d in range(L - 1)]
+    sizes = [1] * (L - 1)
     # Each class draws a depth weighted by its pool's size, then a class of
     # that pool, so every eligible parent is equally likely. One draw over
     # all of them would do the same, but give other trees for each seed.
     for c in range(L, n):
-        weights = [len(pool) for pool in pools]
-        r = rng.random() * sum(weights)
-        acc = 0.0
-        d = L - 2
-        for cand, w in enumerate(weights):
-            acc += w
-            if r < acc:
-                d = cand
-                break
+        bounds = list(itertools.accumulate(sizes))
+        d = bisect.bisect_right(bounds, rng.random() * bounds[-1])
         pool = pools[d]
-        parents[c] = pool[int(rng.integers(len(pool)))]
+        parents[c] = pool[int(rng.integers(sizes[d]))]
         if d + 1 <= L - 2:
             pools[d + 1].append(c)
+            sizes[d + 1] += 1
     return Taxonomy(parents=parents)

@@ -384,6 +384,35 @@ def write_edge_list_reference(taxonomy, path):
                 f.write(f"{c + 1}\t{p + 1}\n")
 
 
+def generate_synthetic_reference(n, L, seed):
+    """``semtree.generate_synthetic``'s parents, drawing each depth with a
+    weight list rebuilt for every class and a float running sum.
+    ``n >= L >= 1``."""
+    parents = np.full(n, -1, dtype=np.int32)
+    if L == 1:
+        return parents
+    for d in range(1, L):
+        parents[d] = d - 1
+
+    rng = np.random.default_rng(seed)
+    pools = [[d] for d in range(L - 1)]
+    for c in range(L, n):
+        weights = [len(pool) for pool in pools]
+        r = rng.random() * sum(weights)
+        acc = 0.0
+        d = L - 2
+        for cand, w in enumerate(weights):
+            acc += w
+            if r < acc:
+                d = cand
+                break
+        pool = pools[d]
+        parents[c] = pool[int(rng.integers(len(pool)))]
+        if d + 1 <= L - 2:
+            pools[d + 1].append(c)
+    return parents
+
+
 def validate_reference(enc):
     """``semtree.validate``'s report as (kind, where, message) triples.
 

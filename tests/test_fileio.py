@@ -254,6 +254,24 @@ class TestLabelFiles:
             fileio.write_labels(np.array([0.7, 2.9]), p)
         assert not p.exists()
 
+    @pytest.mark.parametrize("name", ["x.bin", "x.csv"])
+    def test_two_dimensional_labels_rejected_on_write(self, tmp_path, name):
+        p = tmp_path / name
+        with pytest.raises(ShapeError, match=r"labels must be 1-d, got shape \(2, 1\)"):
+            fileio.write_labels(np.array([[0], [1]]), p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [("1\nx\n", "could not convert string 'x'"), ("1\n0\n", "1-based label 0")],
+        ids=["not-an-integer", "zero"],
+    )
+    def test_bad_csv_label_names_the_file(self, tmp_path, text, fault):
+        p = tmp_path / "labels.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match="^" + re.escape(f"{p}: {fault}")):
+            fileio.read_labels(p)
+
 
 class TestPathLabelFiles:
     def test_round_trip(self, enc, tmp_path):

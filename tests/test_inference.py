@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -148,19 +149,16 @@ class TestSoftmaxLevels:
             softmax_levels(parts)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_live_score_spoils_only_its_slice(self, toy_encoding, value):
+    def test_non_finite_live_score_rejected(self, toy_encoding, value):
         scores = np.arange(18, dtype=np.float64).reshape(2, 9)
         data = partition_scores(toy_encoding, scores).data.copy()
         data[1, 1, 4] = value  # class 5 sits on level 2
-        parts = PartitionedScores(data=data)
-        with np.errstate(invalid="ignore"):
-            got = softmax_levels(parts).data
-            want = oracles.softmax_levels_reference(parts)
-        np.testing.assert_array_equal(got, want)
-        spoiled = np.zeros((2, 3), dtype=bool)
-        spoiled[1, 1] = True
-        np.testing.assert_array_equal(np.isnan(got).all(axis=2), spoiled)
-        np.testing.assert_array_equal(np.isnan(got).any(axis=2), spoiled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ParameterError, match=r"sample 1, level 2: a live score is NaN or \+inf"
+            ):
+                softmax_levels(PartitionedScores(data=data))
 
     @pytest.mark.parametrize(
         "mask_value, fill",

@@ -347,6 +347,16 @@ class TestGenerateSynthetic:
         tax = generate_synthetic(SyntheticTreeSpec(n, L, seed=seed))
         assert hashlib.sha256(tax.parents.tobytes()).hexdigest() == digest
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=hs.data(), seed=hs.integers(0, 2**32 - 1))
+    def test_matches_the_reference_loop(self, data, seed):
+        n = data.draw(hs.integers(1, 400), label="n")
+        L = data.draw(hs.integers(1, min(n, 12)), label="L")
+        tax = generate_synthetic(SyntheticTreeSpec(n, L, seed=seed))
+        np.testing.assert_array_equal(
+            tax.parents, oracles.generate_synthetic_reference(n, L, seed)
+        )
+
     def test_too_few_classes(self):
         with pytest.raises(ParameterError):
             generate_synthetic(SyntheticTreeSpec(3, 4))

@@ -350,6 +350,20 @@ class TestCrossEntropy:
         with pytest.raises(ParameterError):
             cross_entropy(flat)
 
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_out_of_range_label_names_its_row(self, label):
+        # Only a set built by hand, or read back by read_flat, can hold one.
+        flat = FlatTrainingSet(
+            rows=np.zeros((3, 2)),
+            labels=np.array([0, label, 1], dtype=np.int64),
+            origin=np.zeros((3, 2), dtype=np.int64),
+        )
+        with pytest.raises(LabelError) as info:
+            cross_entropy(flat)
+        assert info.value.batch_index == 1
+        assert info.value.value == label
+        assert info.value.num_classes == 2
+
     def test_masked_label_is_inconsistent(self):
         flat = FlatTrainingSet(
             rows=np.array([[NEG_INF, 0.5]]),
