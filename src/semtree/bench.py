@@ -6,17 +6,16 @@ a given encoding and reports the median of several repeats (one warm-up
 run is discarded), next to the byte counts of every tensor involved.
 """
 
-import os
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import InsufficientMemory, ParameterError
 from .transforms import (
     _BLOCK_ENTRIES,
+    _check_memory,
     cross_entropy,
     flatten_for_training,
     map_labels,
@@ -90,13 +89,6 @@ class BenchReport:
         return "\n".join(f"{k}={v}" for k, v in vars(self).items())
 
 
-def _available_bytes() -> Optional[int]:
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _median_ns(fn, reps: int) -> int:
     fn()  # warm-up, excluded from the median
     times = []
@@ -129,12 +121,7 @@ def run_bench(
     required = (
         scores_bytes(batch_size, n) + 2 * partitioned_bytes(batch_size, L, n) + block
     )
-    available = _available_bytes()
-    if available is not None and required > available:
-        raise InsufficientMemory(
-            f"benchmark needs about {required:,} bytes of score tensors "
-            f"but only {available:,} are available"
-        )
+    _check_memory("benchmark", required)
 
     rng = np.random.default_rng(seed)
     try:

@@ -32,7 +32,13 @@ from .errors import (
     UnsupportedMaskValue,
 )
 from .tree import TreeEncoding
-from .transforms import NEG_INF, PartitionedScores, _check_dtype
+from .transforms import (
+    NEG_INF,
+    PartitionedScores,
+    _check_dtype,
+    _check_memory,
+    _for_row_blocks,
+)
 
 
 @dataclass(frozen=True)
@@ -80,9 +86,12 @@ def softmax_levels(parts: PartitionedScores) -> LevelProbabilities:
     exactly, whereas a finite fill would soak up probability mass. Real
     float input keeps its dtype, integer input gives float64 and other
     dtypes raise ``ShapeError``. The output is the one (b, L, n) array
-    made, so the peak is about the output's size. A slice with no live
-    (not masked) class raises ``CorruptEncoding``, and one whose live
-    scores hold NaN or ``+inf`` raises ``ParameterError``.
+    made, so the peak is about the output's size; one larger than the
+    memory available raises ``InsufficientMemory`` first. Slices are
+    taken in blocks run side by side on one thread per CPU, each slice
+    computed as on one thread. A slice with no live (not masked) class
+    raises ``CorruptEncoding``, and otherwise one whose live scores hold
+    NaN or ``+inf`` raises ``ParameterError``.
     """
     mask_value = parts.mask_value
     if not (mask_value == NEG_INF or np.isnan(mask_value)):
@@ -90,33 +99,55 @@ def softmax_levels(parts: PartitionedScores) -> LevelProbabilities:
             f"softmax needs -inf or NaN masking, got {mask_value!r}"
         )
     data = _check_dtype("scores", parts.data)
-    if np.issubdtype(data.dtype, np.integer):
-        data = data.astype(np.float64)
-    elif np.isnan(mask_value):
-        data = np.where(np.isnan(data), NEG_INF, data)
-    # fmax skips NaN, so a slice's max is -inf, or NaN, only when no entry
-    # is live. A NaN or +inf beside a live entry survives the shift as NaN
-    # and spoils the slice's sum, which is where it is caught.
-    m = np.fmax.reduce(data, axis=2, keepdims=True)
-    dead = ~(m[:, :, 0] > NEG_INF)
-    if dead.any():
-        b, l = (int(x) for x in np.argwhere(dead)[0])
-        raise CorruptEncoding(
-            f"sample {b}, level {l + 1}: every class is masked out"
+    if data.ndim != 3:
+        raise ShapeError(
+            f"scores must be 3-d (samples, levels, classes), got shape {data.shape}"
         )
-    # One (b, L, n) buffer: the shift goes into a copy made above, or makes
-    # the buffer; exp and the division then work in place.
-    with np.errstate(invalid="ignore"):
-        e = np.subtract(data, m, out=None if data is parts.data else data)
-    np.exp(e, out=e)
-    total = e.sum(axis=2, keepdims=True)
-    if np.isnan(total.sum()):  # any NaN slice sum; no (b, L) mask is kept
-        b, l = (int(x) for x in np.argwhere(np.isnan(total[:, :, 0]))[0])
+    b, L, n = data.shape
+    dtype = np.float64 if np.issubdtype(data.dtype, np.integer) else data.dtype
+    _check_memory("softmax_levels", b * L * n * np.dtype(dtype).itemsize)
+    # One (b, L, n) buffer: each block's shift goes into it, from a copy made
+    # there when the input is integer or NaN-masked; exp and the division
+    # then work in place.
+    out = np.empty((b * L, n), dtype=dtype)
+    rows = data.reshape(b * L, n)
+    copy = dtype != data.dtype or np.isnan(mask_value)
+
+    def block(lo, hi):
+        x, e = rows[lo:hi], out[lo:hi]
+        if copy:
+            np.copyto(e, x)
+            e[np.isnan(e)] = NEG_INF
+            x = e
+        # fmax skips NaN, so a slice's max is -inf, or NaN, only when no
+        # entry is live. A NaN or +inf beside a live entry survives the
+        # shift as NaN and spoils the slice's sum, which is where it is
+        # caught; the first such slice is returned.
+        m = np.fmax.reduce(x, axis=1, keepdims=True)
+        dead = ~(m[:, 0] > NEG_INF)
+        if dead.any():
+            s, l = divmod(lo + int(np.argmax(dead)), L)
+            raise CorruptEncoding(
+                f"sample {s}, level {l + 1}: every class is masked out"
+            )
+        with np.errstate(invalid="ignore"):
+            np.subtract(x, m, out=e)
+        np.exp(e, out=e)
+        total = e.sum(axis=1, keepdims=True)
+        if np.isnan(total.sum()):  # any NaN slice sum; no mask is kept
+            return lo + int(np.argmax(np.isnan(total[:, 0])))
+        e /= total
+        return None
+
+    # Every dead slice is reported before any NaN one: a block raises for
+    # the first, and returns the second.
+    spoiled = [r for r in _for_row_blocks(b * L, n, block) if r is not None]
+    if spoiled:
+        s, l = divmod(spoiled[0], L)
         raise ParameterError(
-            f"sample {b}, level {l + 1}: a live score is NaN or +inf"
+            f"sample {s}, level {l + 1}: a live score is NaN or +inf"
         )
-    e /= total
-    return LevelProbabilities(data=e)
+    return LevelProbabilities(data=out.reshape(b, L, n))
 
 
 def naive_decode(probs: LevelProbabilities) -> np.ndarray:
@@ -133,32 +164,29 @@ def naive_decode(probs: LevelProbabilities) -> np.ndarray:
             f"probabilities must be 3-d (samples, levels, classes), "
             f"got shape {data.shape}"
         )
-    best = np.argmax(data, axis=2)
-    # argmax picks a slice's first NaN if it has one, so checking the
-    # picked entries finds every NaN without a (b, L, n) mask.
-    bad = np.isnan(np.take_along_axis(data, best[:, :, None], axis=2)[:, :, 0])
-    if bad.any():
-        s, l = (int(x) for x in np.argwhere(bad)[0])
-        raise ParameterError(
-            f"sample {s}, level {l + 1}, class {int(best[s, l]) + 1}: "
-            f"probability is NaN"
-        )
+    b, L, n = data.shape
+    best = np.empty((b, L), dtype=np.intp)
+
+    def block(lo, hi):
+        np.argmax(data[lo:hi], axis=2, out=best[lo:hi])
+        # argmax picks a slice's first NaN if it has one, so checking the
+        # picked entries finds every NaN without a (b, L, n) mask.
+        picked = np.take_along_axis(data[lo:hi], best[lo:hi, :, None], axis=2)
+        bad = np.isnan(picked[:, :, 0])
+        if bad.any():
+            s, l = (int(x) for x in np.argwhere(bad)[0] + (lo, 0))
+            raise ParameterError(
+                f"sample {s}, level {l + 1}, class {int(best[s, l]) + 1}: "
+                f"probability is NaN"
+            )
+
+    _for_row_blocks(b, L * n, block)
     return best.astype(np.int64)
 
 
-def _path_scores(
-    enc: TreeEncoding, probs: LevelProbabilities, batch: tuple
-) -> np.ndarray:
-    """Every path's joint log probability, (batch, n) in the encoding's
-    level layout.
-
-    score[:, c] = score[:, parent(c)] + log p[:, level(c), c], level by
-    level: the summation order of a root-to-leaf walk. ``probs`` must
-    have shape ``batch + (L, n)``. Only the n own-level probabilities
-    per sample are gathered and logged; one that is NaN or outside
-    [0, 1] raises ``ParameterError``, and a dtype that is neither integer
-    nor real float raises ``ShapeError``.
-    """
+def _probabilities(enc: TreeEncoding, probs: LevelProbabilities, batch: tuple):
+    """``probs.data``, checked to be integer or real float (else
+    ``ShapeError``) and of shape ``batch + (L, n)``."""
     data = _check_dtype("probabilities", probs.data)
     want = batch + (enc.num_levels, enc.num_classes)
     if data.shape != want:
@@ -166,17 +194,30 @@ def _path_scores(
             f"probabilities of shape {data.shape} do not match "
             f"{want} (samples, levels, classes)"
         )
+    return data
+
+
+def _path_scores(enc: TreeEncoding, data: np.ndarray, first: int) -> np.ndarray:
+    """Every path's joint log probability, (batch, n) in the encoding's
+    level layout, for the (batch, L, n) probabilities of samples ``first``
+    on.
+
+    score[:, c] = score[:, parent(c)] + log p[:, level(c), c], level by
+    level: the summation order of a root-to-leaf walk. Only the n
+    own-level probabilities per sample are gathered and logged; one that
+    is NaN or outside [0, 1] raises ``ParameterError``.
+    """
     order, starts, up, _ = enc._layout
     levels = enc.level_of[order].astype(np.intp)
     # One flat gather gives contiguous rows, which np.partition needs to run
     # fast (over strided rows it is ~7x slower).
-    flat = data.reshape(want[0], enc.num_levels * enc.num_classes)
+    flat = data.reshape(data.shape[0], enc.num_levels * enc.num_classes)
     p = np.take(flat, levels * enc.num_classes + order, axis=1)
     bad = ~((p >= 0) & (p <= 1))
     if bad.any():
         s, j = (int(x) for x in np.argwhere(bad)[0])
         raise ParameterError(
-            f"sample {s}, level {levels[j] + 1}, class {order[j] + 1}: "
+            f"sample {first + s}, level {levels[j] + 1}, class {order[j] + 1}: "
             f"probability {p[s, j]} is outside [0, 1]"
         )
     score = p.astype(np.float64)
@@ -186,6 +227,17 @@ def _path_scores(
         lo, hi = starts[d], starts[d + 1]
         score[:, lo:hi] += np.take(score, up[lo:hi], axis=1)
     return score
+
+
+def _by_samples(enc: TreeEncoding, b: int, decode) -> list[list[DecodedPath]]:
+    """``decode(lo, hi)`` over blocks of samples, joined in sample order.
+
+    A block's working set is a few (samples, n) arrays, and it pays Python
+    overhead per level, so each thread takes one block.
+    """
+    enc._layout  # built once here, not by each block
+    parts = _for_row_blocks(b, enc.num_classes, decode, per_thread=True)
+    return [paths for part in parts for paths in part]
 
 
 def _ranked(
@@ -254,11 +306,16 @@ def beam_decode(
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"beam width must be an integer of at least 1, got {k!r}")
-    score = _path_scores(enc, probs, probs.data.shape[:1])
-    primary = -score
-    if length_normalize:
-        primary /= enc.level_of[enc._layout.order] + 1
-    return _ranked(enc, primary, None, k, score=score)
+    data = _probabilities(enc, probs, probs.data.shape[:1])
+
+    def decode(lo, hi):
+        score = _path_scores(enc, data[lo:hi], lo)
+        primary = -score
+        if length_normalize:
+            primary /= enc.level_of[enc._layout.order] + 1
+        return _ranked(enc, primary, None, k, score=score)
+
+    return _by_samples(enc, data.shape[0], decode)
 
 
 def _scan_levels(enc: TreeEncoding, naive: np.ndarray) -> np.ndarray:
@@ -345,9 +402,14 @@ def levenshtein_decode(
     if bad.any():
         i = int(np.argwhere(bad)[0][0])
         raise LabelError(i, int(naive[i][np.argmax(bad[i])]), enc.num_classes)
-    if probs is None:
-        dist = _scan_levels(enc, naive)
-        return _ranked(enc, dist, None, k, dist=dist)
-    score = _path_scores(enc, probs, naive.shape[:1])
-    dist = _scan_levels(enc, naive)
-    return _ranked(enc, dist, -score, k, score=score, dist=dist)
+    data = None if probs is None else _probabilities(enc, probs, naive.shape[:1])
+
+    def decode(lo, hi):
+        if data is None:
+            dist = _scan_levels(enc, naive[lo:hi])
+            return _ranked(enc, dist, None, k, dist=dist)
+        score = _path_scores(enc, data[lo:hi], lo)
+        dist = _scan_levels(enc, naive[lo:hi])
+        return _ranked(enc, dist, -score, k, score=score, dist=dist)
+
+    return _by_samples(enc, naive.shape[0], decode)

@@ -8,8 +8,20 @@ classes living at depth ``l`` and holds the mask value everywhere else.
 the padding rows dropped. ``cross_entropy`` then scores those rows
 without the mask value ever poisoning the arithmetic: its cost is one
 scan of the rows plus work on the entries that are not ``-inf``.
+
+Every row is independent of the others, so ``partition_scores``,
+``flatten_for_training`` and the softmax and decoders in ``inference``
+run over blocks of whole rows, shared out among one thread per CPU the
+process may use. NumPy releases the interpreter lock inside its loops,
+and every block writes its own rows of one preallocated output, so
+results do not depend on the number of threads.
 """
 
+import contextvars
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,6 +29,7 @@ import numpy as np
 
 from .errors import (
     InconsistentRow,
+    InsufficientMemory,
     LabelError,
     ParameterError,
     ShapeError,
@@ -26,8 +39,118 @@ from .tree import PAD, TreeEncoding
 
 NEG_INF = float("-inf")
 
-# Entries per block of whole rows in the loss's log-sum-exp (at least one row).
+# Entries per block of whole rows (at least one row): a block's working set
+# stays in a core's L2 cache.
 _BLOCK_ENTRIES = 1 << 18
+
+# (pid, threads, executor) of the block pool, made on first use. A forked
+# child has the parent's object but none of its threads, so a new pid makes
+# a new pool. Two threads that both find no pool may both make one; the
+# spare is dropped, and its threads end when it is collected.
+_pool = None
+_local = threading.local()  # in_pool is set on the pool's own threads
+
+
+def _workers() -> int:
+    """Threads that run blocks: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _mark_pool_thread() -> None:
+    _local.in_pool = True
+
+
+def _executor(threads: int) -> ThreadPoolExecutor:
+    global _pool
+    pool = _pool
+    if pool is None or pool[:2] != (os.getpid(), threads):
+        executor = ThreadPoolExecutor(
+            threads, "semtree-block", initializer=_mark_pool_thread
+        )
+        pool = _pool = (os.getpid(), threads, executor)
+    return pool[2]
+
+
+def _for_row_blocks(num_rows: int, row_entries: int, fn, *, per_thread=False):
+    """``fn(lo, hi)`` over blocks of whole rows of ``range(num_rows)``; the
+    results in row order.
+
+    A block holds at most ``_BLOCK_ENTRIES // row_entries`` rows (at least
+    one), or with ``per_thread`` at least a thread's share of the rows, for
+    kernels whose cost per block is Python overhead rather than cache
+    misses. With one thread, one block, or a call from a pool thread (so pool
+    tasks never wait on the pool), the blocks run in order on the calling
+    thread. Otherwise they are made the same size, their count a multiple
+    of the threads, and the caller and ``threads - 1`` pool threads take
+    them in order until none are left; the pool threads run in copies of
+    the caller's context, which carries NumPy's error state. Every block
+    runs, then the exception of the first failing block is raised.
+    """
+    threads = _workers()
+    size = max(1, _BLOCK_ENTRIES // max(1, row_entries))
+    if per_thread:
+        size = max(size, -(-num_rows // threads))
+    count = -(-num_rows // size)
+    if count <= 1 or threads == 1 or getattr(_local, "in_pool", False):
+        return [fn(lo, min(lo + size, num_rows)) for lo in range(0, num_rows, size)]
+    count = min(num_rows, -(-count // threads) * threads)
+    bounds = [num_rows * i // count for i in range(count + 1)]
+    todo = deque(range(count))
+    results, errors = [None] * count, [None] * count
+
+    def work():
+        while True:
+            try:
+                i = todo.popleft()  # atomic: each block is taken once
+            except IndexError:
+                return
+            try:
+                results[i] = fn(bounds[i], bounds[i + 1])
+            except Exception as e:
+                errors[i] = e
+
+    executor = _executor(threads - 1)
+    helpers = [
+        executor.submit(contextvars.copy_context().run, work)
+        for _ in range(threads - 1)
+    ]
+    work()
+    for helper in helpers:
+        helper.result()
+    for e in errors:
+        if e is not None:
+            raise e
+    return results
+
+
+def _available_bytes() -> int | None:
+    """Bytes the system can still hand out (Linux's MemAvailable, else its
+    free pages), or None when that is not known."""
+    try:
+        with open("/proc/meminfo", "rb") as f:
+            for line in f:
+                if line.startswith(b"MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(what: str, nbytes: int) -> None:
+    """Raise ``InsufficientMemory`` before ``what`` allocates ``nbytes``
+    that the system does not have."""
+    available = _available_bytes()
+    if available is not None and nbytes > available:
+        raise InsufficientMemory(
+            f"{what} needs about {nbytes:,} bytes but only {available:,} "
+            f"are available"
+        )
 
 
 def _check_mask_value(mask_value: float) -> float:
@@ -118,7 +241,8 @@ def partition_scores(
     Every score lands unchanged in the one slice owning its class, found
     by ``level_of``; all other positions hold ``mask_value``. Integer
     input is promoted to float64, real float input keeps its dtype, and
-    any other dtype raises ``ShapeError``.
+    any other dtype raises ``ShapeError``. An output larger than the
+    memory available raises ``InsufficientMemory`` before it is made.
     """
     mask_value = _check_mask_value(mask_value)
     scores = _check_dtype("scores", scores)
@@ -134,12 +258,19 @@ def partition_scores(
     if not np.isfinite(scores).all():
         raise ParameterError("scores must be finite")
     (b, n), L = scores.shape, enc.num_levels
-    data = np.full((b, L * n), mask_value, dtype=scores.dtype)
+    _check_memory("partition_scores", b * L * n * scores.itemsize)
+    data = np.empty((b, L * n), dtype=scores.dtype)
     # Class c's score goes to column c of slice level_of[c]. Indexing rows
     # too makes numpy fill one row at a time; ``data[:, idx]`` would fill
-    # one column at a time, touching b cache lines per class.
+    # one column at a time, touching b cache lines per class. A block is
+    # filled with the mask value just before its scatter, while in cache.
     idx = enc.level_of.astype(np.intp) * n + np.arange(n)
-    data[np.arange(b)[:, None], idx] = scores
+
+    def fill(lo, hi):
+        data[lo:hi] = mask_value
+        data[lo:hi][np.arange(hi - lo)[:, None], idx] = scores[lo:hi]
+
+    _for_row_blocks(b, L * n, fill)
     return PartitionedScores(data=data.reshape(b, L, n), mask_value=mask_value)
 
 
@@ -162,7 +293,8 @@ def flatten_for_training(
 
     Rows are laid out sample-major, level-minor; rows whose label is
     padding (the sample's path ended above that level) are dropped. Path
-    labels that are not integers raise ``ShapeError``.
+    labels that are not integers raise ``ShapeError``, and rows larger
+    than the memory available raise ``InsufficientMemory``.
     """
     labels = _check_dtype("path labels", path_labels.data, floats=False)
     if parts.data.shape[:2] != labels.shape:
@@ -176,8 +308,16 @@ def flatten_for_training(
     keep = np.nonzero(flat_labels != PAD)[0]
     sample, level = np.divmod(keep, L)
     origin = np.column_stack((sample, level)).astype(np.int64)
+    _check_memory("flatten_for_training", keep.size * n * flat_rows.itemsize)
+    rows = np.empty((keep.size, n), dtype=flat_rows.dtype)
+
+    def gather(lo, hi):
+        # keep holds valid row numbers, so "clip" only spares take a buffer.
+        np.take(flat_rows, keep[lo:hi], axis=0, out=rows[lo:hi], mode="clip")
+
+    _for_row_blocks(keep.size, n, gather)
     return FlatTrainingSet(
-        rows=flat_rows[keep],
+        rows=rows,
         labels=flat_labels[keep].astype(np.int64),
         origin=origin,
         mask_value=parts.mask_value,
@@ -191,11 +331,12 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     zero, so excluded classes drop out of the normalizer. The cost is
     one scan of the rows for their live (not ``-inf``) entries, then
     float64 work on those entries alone. Whole rows are taken in blocks
-    of a fixed number of entries, so the working set beyond the
-    ``O(num_rows)`` outputs stays the same at any batch size, and each
-    row's loss is the same as over all rows at once. The per-row losses
-    and their mean are returned. Rows must be integer or real
-    float and labels integer; other dtypes raise ``ShapeError``.
+    of a fixed number of entries, one after another on the calling
+    thread, so the working set beyond the ``O(num_rows)`` outputs stays
+    the same at any batch size, and each row's loss is the same as over
+    all rows at once. The per-row losses and their mean are returned.
+    Rows must be integer or real float and labels integer; other dtypes
+    raise ``ShapeError``.
     """
     if flat.mask_value != NEG_INF:
         raise UnsupportedMaskValue(

@@ -80,10 +80,10 @@ class TestRunBench:
         new = scores + 2 * parts + 24 * max(transforms._BLOCK_ENTRIES, n)
         old = scores + 3 * parts
         assert new < old
-        monkeypatch.setattr(bench, "_available_bytes", lambda: new - 1)
+        monkeypatch.setattr(transforms, "_available_bytes", lambda: new - 1)
         with pytest.raises(InsufficientMemory, match=f"{new:,} bytes"):
             run_bench(small_encoding, batch, 3)
-        monkeypatch.setattr(bench, "_available_bytes", lambda: old - 1)
+        monkeypatch.setattr(transforms, "_available_bytes", lambda: old - 1)
         assert run_bench(small_encoding, batch, 3).loss_ns > 0
 
 

@@ -13,6 +13,7 @@ from semtree import (
     NEG_INF,
     FlatTrainingSet,
     InconsistentRow,
+    InsufficientMemory,
     LabelError,
     ParameterError,
     PathLabels,
@@ -26,6 +27,7 @@ from semtree import (
     generate_synthetic,
     map_labels,
     partition_scores,
+    softmax_levels,
     transforms,
 )
 
@@ -479,3 +481,35 @@ def _hand_built(rows, labels):
         labels=labels,
         origin=np.column_stack((np.arange(labels.size), np.zeros_like(labels))),
     )
+
+
+class TestMemoryGuard:
+    """Each large output is checked against the memory available before it
+    is made; the limit is patched, so nothing large is allocated."""
+
+    def test_each_output_is_checked_before_it_is_made(self, monkeypatch, toy_encoding):
+        scores = toy_scores()  # float32, (5, 9)
+        parts = partition_scores(toy_encoding, scores)
+        paths = map_labels(toy_encoding, TOY_LABELS_DISPLAY - 1)  # 10 rows kept
+        calls = [
+            ("partition_scores", lambda: partition_scores(toy_encoding, scores), 540),
+            ("softmax_levels", lambda: softmax_levels(parts), 540),
+            ("flatten_for_training", lambda: flatten_for_training(parts, paths), 360),
+        ]
+        for name, call, nbytes in calls:
+            monkeypatch.setattr(transforms, "_available_bytes", lambda: nbytes - 1)
+            with pytest.raises(
+                InsufficientMemory,
+                match=f"{name} needs about {nbytes} bytes but only {nbytes - 1} are",
+            ):
+                call()
+            monkeypatch.setattr(transforms, "_available_bytes", lambda: nbytes)
+            call()
+
+    def test_unknown_memory_is_not_checked(self, monkeypatch, toy_encoding):
+        monkeypatch.setattr(transforms, "_available_bytes", lambda: None)
+        assert partition_scores(toy_encoding, toy_scores()).data.shape == (5, 3, 9)
+
+    def test_available_bytes_are_read(self):
+        available = transforms._available_bytes()
+        assert available is None or available > 0
