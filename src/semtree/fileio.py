@@ -31,7 +31,7 @@ from .transforms import (
     FlatTrainingSet,
     PartitionedScores,
     PathLabels,
-    _check_dtype,
+    _check_array,
 )
 
 Pathish = Union[str, os.PathLike]
@@ -202,7 +202,8 @@ def _write(dest, fmt: _Format, dims: tuple, arrays, mask_value=None) -> None:
             raise ShapeError(f"{name} has shape {np.shape(a)}, expected {spec.shape}")
         # The u1 mask comes from a TreeEncoding, which holds it as bool.
         if spec.dtype != "u1":
-            _check_range(name, _check_dtype(name, a, floats=spec.dtype == "<f4"), spec)
+            a = _check_array(name, a, len(spec.shape), floats=spec.dtype == "<f4")
+            _check_range(name, a, spec)
     mode = _mask_mode(mask_value) if fmt.masked else ()
     is_path = isinstance(dest, (str, os.PathLike))
     with open(dest, "wb") if is_path else contextlib.nullcontext(dest) as stream:
@@ -276,9 +277,7 @@ def read_encoding(path: Pathish, check: bool = True) -> TreeEncoding:
 
 
 def write_scores(scores: np.ndarray, path: Pathish) -> None:
-    scores = _check_dtype("scores", scores)
-    if scores.ndim != 2:
-        raise ShapeError(f"scores must be 2-d, got shape {scores.shape}")
+    scores = _check_array("scores", scores, 2)
     if _is_csv(path):
         _csv_cap(scores.size, "scores")
         np.savetxt(path, scores.astype(np.float32), fmt="%.9g", delimiter=",")
@@ -356,9 +355,7 @@ def _check_csv_size(
 
 
 def write_labels(labels: np.ndarray, path: Pathish) -> None:
-    labels = _check_dtype("labels", labels, floats=False)
-    if labels.ndim != 1:
-        raise ShapeError(f"labels must be 1-d, got shape {labels.shape}")
+    labels = _check_array("labels", labels, 1, floats=False)
     if _is_csv(path):
         (spec,) = _FORMATS["labels"].layout(labels.size)
         _check_range("labels", labels, spec)

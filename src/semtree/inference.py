@@ -24,18 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CorruptEncoding,
-    LabelError,
-    ParameterError,
-    ShapeError,
-    UnsupportedMaskValue,
-)
+from .errors import CorruptEncoding, ParameterError, ShapeError, UnsupportedMaskValue
 from .tree import TreeEncoding
 from .transforms import (
     NEG_INF,
     PartitionedScores,
-    _check_dtype,
+    _check_array,
+    _check_ids,
     _check_memory,
     _for_row_blocks,
 )
@@ -98,11 +93,7 @@ def softmax_levels(parts: PartitionedScores) -> LevelProbabilities:
         raise UnsupportedMaskValue(
             f"softmax needs -inf or NaN masking, got {mask_value!r}"
         )
-    data = _check_dtype("scores", parts.data)
-    if data.ndim != 3:
-        raise ShapeError(
-            f"scores must be 3-d (samples, levels, classes), got shape {data.shape}"
-        )
+    data = _check_array("scores", parts.data, 3)
     b, L, n = data.shape
     dtype = np.float64 if np.issubdtype(data.dtype, np.integer) else data.dtype
     _check_memory("softmax_levels", b * L * n * np.dtype(dtype).itemsize)
@@ -158,12 +149,7 @@ def naive_decode(probs: LevelProbabilities) -> np.ndarray:
     that are neither integer nor real float, or not 3-d, raise
     ``ShapeError``; a NaN probability raises ``ParameterError``.
     """
-    data = _check_dtype("probabilities", probs.data)
-    if data.ndim != 3:
-        raise ShapeError(
-            f"probabilities must be 3-d (samples, levels, classes), "
-            f"got shape {data.shape}"
-        )
+    data = _check_array("probabilities", probs.data, 3)
     b, L, n = data.shape
     best = np.empty((b, L), dtype=np.intp)
 
@@ -187,7 +173,7 @@ def naive_decode(probs: LevelProbabilities) -> np.ndarray:
 def _probabilities(enc: TreeEncoding, probs: LevelProbabilities, batch: tuple):
     """``probs.data``, checked to be integer or real float (else
     ``ShapeError``) and of shape ``batch + (L, n)``."""
-    data = _check_dtype("probabilities", probs.data)
+    data = _check_array("probabilities", probs.data, 3)
     want = batch + (enc.num_levels, enc.num_classes)
     if data.shape != want:
         raise ShapeError(
@@ -287,6 +273,13 @@ def _ranked(
     ]
 
 
+def _check_width(name: str, k) -> None:
+    """Refuse, with ``ParameterError``, a ``k`` that is not an integer of
+    at least 1; a bool is not one."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ParameterError(f"{name} must be an integer of at least 1, got {k!r}")
+
+
 def beam_decode(
     enc: TreeEncoding,
     probs: LevelProbabilities,
@@ -304,8 +297,7 @@ def beam_decode(
     probabilities are at most 0, so every ancestor of a top-k path is
     in the top k of its own level.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ParameterError(f"beam width must be an integer of at least 1, got {k!r}")
+    _check_width("beam width", k)
     data = _probabilities(enc, probs, probs.data.shape[:1])
 
     def decode(lo, hi):
@@ -390,18 +382,14 @@ def levenshtein_decode(
     two levels of words alive. There is no limit on the batch: besides
     those words, the decoder holds a few (batch, n) arrays.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ParameterError(f"k must be an integer of at least 1, got {k!r}")
-    naive = _check_dtype("naive sequences", naive, floats=False)
-    if naive.ndim != 2 or naive.shape[1] != enc.num_levels:
+    _check_width("k", k)
+    naive = _check_array("naive sequences", naive, 2, floats=False)
+    if naive.shape[1] != enc.num_levels:
         raise ShapeError(
             f"naive sequences of shape {naive.shape} do not match "
             f"{enc.num_levels} levels"
         )
-    bad = (naive < 0) | (naive >= enc.num_classes)
-    if bad.any():
-        i = int(np.argwhere(bad)[0][0])
-        raise LabelError(i, int(naive[i][np.argmax(bad[i])]), enc.num_classes)
+    _check_ids(naive, enc.num_classes)
     data = None if probs is None else _probabilities(enc, probs, naive.shape[:1])
 
     def decode(lo, hi):

@@ -255,31 +255,14 @@ def write_edge_list(taxonomy: Taxonomy, path: Union[str, os.PathLike]) -> None:
     """Write a taxonomy back out as a 1-based edge list.
 
     One line per class: ``child`` for a root, ``child<TAB>parent``
-    otherwise. The text is laid out as character codes by array
-    operations and written in one call.
+    otherwise.
     """
-    parents = taxonomy.parents
-    n = parents.size
-    # Every line's ids in order; a root's parent slot (0) is dropped.
-    ids = np.column_stack((np.arange(1, n + 1, dtype=np.int32), parents + 1)).ravel()
-    tab = np.zeros(2 * n, dtype=bool)
-    tab[0::2] = parents != NO_PARENT
-    keep = ids > 0
-    ids, tab = ids[keep], tab[keep]
-    # Each id takes its digits and then a tab or a newline.
-    digits = np.searchsorted(10 ** np.arange(len(str(n))), ids, side="right")
-    ends = np.cumsum(digits + 1)
-    text = np.empty(ends[-1], dtype=np.uint8)
-    text[ends - 1] = np.where(tab, ord("\t"), ord("\n"))
-    # Fill the digits right to left, dropping each id once it is written out.
-    pos = ends - 2
-    while ids.size:
-        ids, digit = np.divmod(ids, 10)
-        text[pos] = digit + ord("0")
-        more = ids > 0
-        ids, pos = ids[more], pos[more] - 1
     with open(path, "w", encoding="utf-8") as f:
-        f.write(text.tobytes().decode("ascii"))
+        for child, parent in enumerate(taxonomy.parents.tolist(), 1):
+            if parent == NO_PARENT:
+                f.write(f"{child}\n")
+            else:
+                f.write(f"{child}\t{parent + 1}\n")
 
 
 @dataclass(frozen=True)

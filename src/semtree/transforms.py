@@ -18,6 +18,7 @@ results do not depend on the number of threads.
 """
 
 import contextvars
+import numbers
 import os
 import threading
 from collections import deque
@@ -154,25 +155,41 @@ def _check_memory(what: str, nbytes: int) -> None:
 
 
 def _check_mask_value(mask_value: float) -> float:
+    if not isinstance(mask_value, numbers.Real):
+        raise ParameterError("mask value must be a real number")
     mask_value = float(mask_value)
     if mask_value == float("inf"):
         raise UnsupportedMaskValue("+inf would dominate every masked softmax")
     return mask_value
 
 
-def _check_dtype(name: str, a, *, floats: bool = True) -> np.ndarray:
-    """``a`` as an array of integers, or of real floats when ``floats``.
+def _check_array(name: str, a, ndim: int, *, floats: bool = True) -> np.ndarray:
+    """``a`` as an ``ndim``-d array of integers, or of real floats when
+    ``floats``.
 
     Any other dtype (bool, complex, object, strings, and floats where ids
-    are wanted) raises ``ShapeError`` naming it, rather than being cast.
+    are wanted) or number of dimensions raises ``ShapeError`` naming it,
+    rather than being cast or broadcast.
     """
     a = np.asarray(a)
-    if np.issubdtype(a.dtype, np.integer):
-        return a
-    if floats and np.issubdtype(a.dtype, np.floating):
-        return a
-    kind = "integer or real float" if floats else "integers"
-    raise ShapeError(f"{name} must be {kind}, not {a.dtype}")
+    if not (
+        np.issubdtype(a.dtype, np.integer)
+        or floats and np.issubdtype(a.dtype, np.floating)
+    ):
+        kind = "integer or real float" if floats else "integers"
+        raise ShapeError(f"{name} must be {kind}, not {a.dtype}")
+    if a.ndim != ndim:
+        raise ShapeError(f"{name} must be {ndim}-d, got shape {a.shape}")
+    return a
+
+
+def _check_ids(ids: np.ndarray, num_classes: int) -> None:
+    """Raise ``LabelError`` for the first id, in row-major order, outside
+    ``[0, num_classes)``, naming its row."""
+    bad = (ids < 0) | (ids >= num_classes)
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), ids.shape)
+        raise LabelError(int(at[0]), int(ids[at]), num_classes)
 
 
 @dataclass(frozen=True)
@@ -241,13 +258,12 @@ def partition_scores(
     Every score lands unchanged in the one slice owning its class, found
     by ``level_of``; all other positions hold ``mask_value``. Integer
     input is promoted to float64, real float input keeps its dtype, and
-    any other dtype raises ``ShapeError``. An output larger than the
+    any other dtype raises ``ShapeError``; a mask value that is not a
+    real number raises ``ParameterError``. An output larger than the
     memory available raises ``InsufficientMemory`` before it is made.
     """
     mask_value = _check_mask_value(mask_value)
-    scores = _check_dtype("scores", scores)
-    if scores.ndim != 2:
-        raise ShapeError(f"scores must be 2-d, got shape {scores.shape}")
+    scores = _check_array("scores", scores, 2)
     if scores.shape[1] != enc.num_classes:
         raise ShapeError(
             f"scores have {scores.shape[1]} columns, encoding has "
@@ -276,13 +292,8 @@ def partition_scores(
 
 def map_labels(enc: TreeEncoding, labels: np.ndarray) -> PathLabels:
     """Replace each flat label with its ancestral path row (b,) -> (b, L)."""
-    labels = _check_dtype("labels", labels, floats=False)
-    if labels.ndim != 1:
-        raise ShapeError(f"labels must be 1-d, got shape {labels.shape}")
-    bad = (labels < 0) | (labels >= enc.num_classes)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise LabelError(i, int(labels[i]), enc.num_classes)
+    labels = _check_array("labels", labels, 1, floats=False)
+    _check_ids(labels, enc.num_classes)
     return PathLabels(data=enc.paths[labels].astype(np.int64))
 
 
@@ -292,18 +303,20 @@ def flatten_for_training(
     """Collapse (b, L, n) scores and (b, L) path labels into training rows.
 
     Rows are laid out sample-major, level-minor; rows whose label is
-    padding (the sample's path ended above that level) are dropped. Path
-    labels that are not integers raise ``ShapeError``, and rows larger
-    than the memory available raise ``InsufficientMemory``.
+    padding (the sample's path ended above that level) are dropped.
+    Scores that are not 3-d integer or real float, or path labels that
+    are not 2-d integers, raise ``ShapeError``, and rows larger than the
+    memory available raise ``InsufficientMemory``.
     """
-    labels = _check_dtype("path labels", path_labels.data, floats=False)
-    if parts.data.shape[:2] != labels.shape:
+    data = _check_array("partitioned scores", parts.data, 3)
+    labels = _check_array("path labels", path_labels.data, 2, floats=False)
+    if data.shape[:2] != labels.shape:
         raise ShapeError(
-            f"partitioned scores {parts.data.shape[:2]} and path labels "
+            f"partitioned scores {data.shape[:2]} and path labels "
             f"{labels.shape} disagree on batch or levels"
         )
-    b, L, n = parts.data.shape
-    flat_rows = parts.data.reshape(b * L, n)
+    b, L, n = data.shape
+    flat_rows = data.reshape(b * L, n)
     flat_labels = labels.reshape(b * L)
     keep = np.nonzero(flat_labels != PAD)[0]
     sample, level = np.divmod(keep, L)
@@ -335,22 +348,24 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     thread, so the working set beyond the ``O(num_rows)`` outputs stays
     the same at any batch size, and each row's loss is the same as over
     all rows at once. The per-row losses and their mean are returned.
-    Rows must be integer or real float and labels integer; other dtypes
-    raise ``ShapeError``.
+    Rows must be 2-d integer or real float and labels 1-d integers, one
+    per row; anything else raises ``ShapeError``.
     """
     if flat.mask_value != NEG_INF:
         raise UnsupportedMaskValue(
             "loss requires -inf masking; NaN or finite fills would "
             "corrupt the normalizer"
         )
-    if flat.num_rows == 0:
-        raise ParameterError("cannot reduce a loss over zero rows")
-    rows = _check_dtype("rows", flat.rows)
-    labels = _check_dtype("labels", flat.labels, floats=False)
+    rows = _check_array("rows", flat.rows, 2)
+    labels = _check_array("labels", flat.labels, 1, floats=False)
     num_rows, n = rows.shape
-    if (labels < 0).any() or (labels >= n).any():
-        i = int(np.argmax((labels < 0) | (labels >= n)))
-        raise LabelError(i, int(labels[i]), n)
+    if labels.size != num_rows:
+        raise ShapeError(
+            f"labels must be one per row, got {labels.size} for {num_rows} rows"
+        )
+    if num_rows == 0:
+        raise ParameterError("cannot reduce a loss over zero rows")
+    _check_ids(labels, n)
     label_scores = rows[np.arange(num_rows), labels].astype(np.float64)
     if not np.isfinite(label_scores).all():
         i = int(np.argmax(~np.isfinite(label_scores)))
