@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientMemory, ParameterError
+from .errors import InsufficientMemory
 from .transforms import (
     _BLOCK_ENTRIES,
+    _check_count,
     _check_memory,
     cross_entropy,
     flatten_for_training,
@@ -108,10 +109,8 @@ def run_bench(
     Raises ``InsufficientMemory`` up front when the score tensors cannot
     fit in available memory.
     """
-    if not isinstance(reps, (int, np.integer)) or reps < 3:
-        raise ParameterError(f"need an integer of at least 3 repetitions, got {reps!r}")
-    if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
-        raise ParameterError(f"batch size must be an integer >= 1, got {batch_size!r}")
+    _check_count("repetitions", reps, 3)
+    _check_count("batch size", batch_size)
     n, L = enc.num_classes, enc.num_levels
     # Peak is the loss: the partitioned tensor it reads, the flattened
     # rows (at most one per sample and level, so at most that tensor's

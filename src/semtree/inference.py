@@ -30,6 +30,7 @@ from .transforms import (
     NEG_INF,
     PartitionedScores,
     _check_array,
+    _check_count,
     _check_ids,
     _check_memory,
     _for_row_blocks,
@@ -273,13 +274,6 @@ def _ranked(
     ]
 
 
-def _check_width(name: str, k) -> None:
-    """Refuse, with ``ParameterError``, a ``k`` that is not an integer of
-    at least 1; a bool is not one."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ParameterError(f"{name} must be an integer of at least 1, got {k!r}")
-
-
 def beam_decode(
     enc: TreeEncoding,
     probs: LevelProbabilities,
@@ -297,7 +291,7 @@ def beam_decode(
     probabilities are at most 0, so every ancestor of a top-k path is
     in the top k of its own level.
     """
-    _check_width("beam width", k)
+    _check_count("beam width", k)
     data = _probabilities(enc, probs, probs.data.shape[:1])
 
     def decode(lo, hi):
@@ -382,7 +376,7 @@ def levenshtein_decode(
     two levels of words alive. There is no limit on the batch: besides
     those words, the decoder holds a few (batch, n) arrays.
     """
-    _check_width("k", k)
+    _check_count("k", k)
     naive = _check_array("naive sequences", naive, 2, floats=False)
     if naive.shape[1] != enc.num_levels:
         raise ShapeError(

@@ -26,6 +26,7 @@ from .errors import (
     ParameterError,
     SemtreeError,
 )
+from .transforms import _check_count
 from .tree import NO_PARENT, Taxonomy, class_depths
 
 
@@ -280,11 +281,13 @@ def generate_synthetic(spec: SyntheticTreeSpec) -> Taxonomy:
     Classes ``0..num_levels-1`` form a spine with one class per level,
     so the encoding of the result always has exactly ``num_levels``
     levels; the rest attach at random to classes above the deepest
-    level. Identical specs yield identical taxonomies.
+    level. Identical specs yield identical taxonomies. Counts that are
+    not integers of at least 1, or fewer classes than levels, raise
+    ``ParameterError``.
     """
     n, L = spec.num_classes, spec.num_levels
-    if n < 1 or L < 1:
-        raise ParameterError("a synthetic tree needs at least one class and level")
+    _check_count("number of classes", n)
+    _check_count("number of levels", L)
     if n < L:
         raise ParameterError(
             f"cannot reach depth {L} with only {n} classes"

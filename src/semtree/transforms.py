@@ -22,7 +22,6 @@ import numbers
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,13 +43,6 @@ NEG_INF = float("-inf")
 # stays in a core's L2 cache.
 _BLOCK_ENTRIES = 1 << 18
 
-# (pid, threads, executor) of the block pool, made on first use. A forked
-# child has the parent's object but none of its threads, so a new pid makes
-# a new pool. Two threads that both find no pool may both make one; the
-# spare is dropped, and its threads end when it is collected.
-_pool = None
-_local = threading.local()  # in_pool is set on the pool's own threads
-
 
 def _workers() -> int:
     """Threads that run blocks: one per CPU this process may run on."""
@@ -60,21 +52,6 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _mark_pool_thread() -> None:
-    _local.in_pool = True
-
-
-def _executor(threads: int) -> ThreadPoolExecutor:
-    global _pool
-    pool = _pool
-    if pool is None or pool[:2] != (os.getpid(), threads):
-        executor = ThreadPoolExecutor(
-            threads, "semtree-block", initializer=_mark_pool_thread
-        )
-        pool = _pool = (os.getpid(), threads, executor)
-    return pool[2]
-
-
 def _for_row_blocks(num_rows: int, row_entries: int, fn, *, per_thread=False):
     """``fn(lo, hi)`` over blocks of whole rows of ``range(num_rows)``; the
     results in row order.
@@ -82,20 +59,21 @@ def _for_row_blocks(num_rows: int, row_entries: int, fn, *, per_thread=False):
     A block holds at most ``_BLOCK_ENTRIES // row_entries`` rows (at least
     one), or with ``per_thread`` at least a thread's share of the rows, for
     kernels whose cost per block is Python overhead rather than cache
-    misses. With one thread, one block, or a call from a pool thread (so pool
-    tasks never wait on the pool), the blocks run in order on the calling
-    thread. Otherwise they are made the same size, their count a multiple
-    of the threads, and the caller and ``threads - 1`` pool threads take
-    them in order until none are left; the pool threads run in copies of
-    the caller's context, which carries NumPy's error state. Every block
-    runs, then the exception of the first failing block is raised.
+    misses. With one thread or one block, the blocks run in order on the
+    calling thread. Otherwise they are made the same size, their count a
+    multiple of the threads, and the caller and ``threads - 1`` helper
+    threads, started for this call and joined before it returns, take them
+    in order until none are left. Concurrent callers each start their own
+    helpers. The helpers run in copies of the caller's context, which
+    carries NumPy's error state. Every block runs, then the exception of
+    the first failing block, of any kind, is raised.
     """
     threads = _workers()
     size = max(1, _BLOCK_ENTRIES // max(1, row_entries))
     if per_thread:
         size = max(size, -(-num_rows // threads))
     count = -(-num_rows // size)
-    if count <= 1 or threads == 1 or getattr(_local, "in_pool", False):
+    if count <= 1 or threads == 1:
         return [fn(lo, min(lo + size, num_rows)) for lo in range(0, num_rows, size)]
     count = min(num_rows, -(-count // threads) * threads)
     bounds = [num_rows * i // count for i in range(count + 1)]
@@ -110,17 +88,20 @@ def _for_row_blocks(num_rows: int, row_entries: int, fn, *, per_thread=False):
                 return
             try:
                 results[i] = fn(bounds[i], bounds[i + 1])
-            except Exception as e:
+            except BaseException as e:  # a helper's would end its thread
                 errors[i] = e
 
-    executor = _executor(threads - 1)
     helpers = [
-        executor.submit(contextvars.copy_context().run, work)
+        threading.Thread(
+            target=contextvars.copy_context().run, args=(work,), name="semtree-block"
+        )
         for _ in range(threads - 1)
     ]
+    for helper in helpers:
+        helper.start()
     work()
     for helper in helpers:
-        helper.result()
+        helper.join()
     for e in errors:
         if e is not None:
             raise e
@@ -181,6 +162,15 @@ def _check_array(name: str, a, ndim: int, *, floats: bool = True) -> np.ndarray:
     if a.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-d, got shape {a.shape}")
     return a
+
+
+def _check_count(name: str, k, least: int = 1) -> None:
+    """Refuse, with ``ParameterError``, a ``k`` that is not an integer of
+    at least ``least``; a bool is not one."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < least:
+        raise ParameterError(
+            f"{name} must be an integer of at least {least}, got {k!r}"
+        )
 
 
 def _check_ids(ids: np.ndarray, num_classes: int) -> None:

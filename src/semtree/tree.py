@@ -42,13 +42,10 @@ class Taxonomy:
     parents: np.ndarray
 
     def __post_init__(self):
-        parents = np.asarray(self.parents)
-        if parents.ndim != 1 or not np.issubdtype(parents.dtype, np.integer):
-            raise ParameterError("parents must be a 1-d integer array")
+        # Range-check before the int32 cast, which would wrap large ids.
+        parents = _check_parent_ids(self.parents)
         if parents.size == 0:
             raise ParameterError("taxonomy must declare at least one class")
-        # Range-check before the int32 cast, which would wrap large ids.
-        _check_parent_ids(parents)
         parents = np.ascontiguousarray(parents, dtype=np.int32)
         object.__setattr__(self, "parents", parents)
         parents.flags.writeable = False
@@ -63,14 +60,19 @@ class Taxonomy:
         return np.array_equal(self.parents, other.parents)
 
 
-def _check_parent_ids(parents: np.ndarray) -> None:
-    """Refuse a parent that is neither ``NO_PARENT`` nor a class id."""
+def _check_parent_ids(parents) -> np.ndarray:
+    """``parents`` as an array; refuses one that is not 1-d integers, or a
+    parent that is neither ``NO_PARENT`` nor a class id."""
+    parents = np.asarray(parents)
+    if parents.ndim != 1 or not np.issubdtype(parents.dtype, np.integer):
+        raise ParameterError("parents must be a 1-d integer array")
     bad = (parents < NO_PARENT) | (parents >= parents.size)
     if bad.any():
         c = int(np.argmax(bad))
         raise ParameterError(
             f"parent {int(parents[c])} of class {c + 1} is not a class id"
         )
+    return parents
 
 
 def _as_int32(name: str, a) -> np.ndarray:
@@ -198,9 +200,10 @@ def class_depths(parents: np.ndarray) -> np.ndarray:
     ``n.bit_length()`` rounds of two length-n gathers. A class that never
     reaches the sentinel lies on or below a cycle, and ``CyclicTaxonomy``
     names the first class that the walk up from the smallest one repeats.
-    A parent that is not a class id raises ``ParameterError``.
+    Parents that are not a 1-d integer array, or a parent that is not a
+    class id, raise ``ParameterError``.
     """
-    _check_parent_ids(parents)
+    parents = _check_parent_ids(parents)
     n = parents.size
     up = np.append(np.where(parents == NO_PARENT, n, parents), n).astype(np.intp)
     depth = (up != n).astype(np.int32)

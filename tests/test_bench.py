@@ -61,7 +61,8 @@ class TestRunBench:
             run_bench(small_encoding, 0, 3)
 
     @pytest.mark.parametrize(
-        "batch, reps", [(8, 3.5), (8, np.float64(3.0)), (8.0, 3), ("8", 3), (None, 3)]
+        "batch, reps",
+        [(8, 3.5), (8, np.float64(3.0)), (8.0, 3), ("8", 3), (None, 3), (True, 3), (8, True)],
     )
     def test_non_integer_counts(self, small_encoding, batch, reps):
         with pytest.raises(ParameterError, match="integer"):

@@ -1,5 +1,6 @@
-"""Row blocks on the thread pool: the same results and errors at any thread count."""
+"""Row blocks on helper threads: the same results and errors at any thread count."""
 
+import concurrent.futures
 import functools
 import multiprocessing
 import threading
@@ -279,7 +280,7 @@ def test_blocks_run_under_the_callers_error_state(monkeypatch):
     use(monkeypatch, 4, 10)
 
     def fn(lo, hi):
-        time.sleep(0.01)  # long enough for the pool threads to take blocks
+        time.sleep(0.01)  # long enough for the helper threads to take blocks
         return threading.get_ident(), np.geterr()["divide"]
 
     with np.errstate(divide="raise"):
@@ -293,27 +294,61 @@ def test_softmax_refuses_other_than_three_dimensions():
         softmax_levels(PartitionedScores(data=np.zeros((2, 9))))
 
 
-# -- the pool ----------------------------------------------------------------
+# -- helper threads ------------------------------------------------------------
 
 
-def test_one_thread_makes_no_pool(monkeypatch):
-    monkeypatch.setattr(transforms, "_pool", None)
+def test_one_thread_starts_no_thread(monkeypatch):
     use(monkeypatch, 1, 64)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(
+        threading.Thread, "start", lambda self: (started.append(self), start(self))
+    )
     enc, scores, labels = inputs("10k")
     run_all(enc, scores[:8], labels[:8])
-    assert transforms._pool is None
+    assert started == []
 
 
-def test_calls_from_pool_threads_run_inline(monkeypatch):
-    # Both pool threads run a kernel at once; were its blocks queued on the
-    # pool, each would wait for a thread the other holds.
+def test_no_helper_outlives_the_call(monkeypatch):
     use(monkeypatch, 3, 64)
+    seen, blocks = set(), transforms._for_row_blocks
+
+    def spy(num_rows, row_entries, fn, **kwargs):
+        def block(lo, hi):
+            seen.add(threading.current_thread())
+            time.sleep(0.001)  # long enough for the helpers to take blocks
+            return fn(lo, hi)
+
+        return blocks(num_rows, row_entries, block, **kwargs)
+
+    monkeypatch.setattr(transforms, "_for_row_blocks", spy)
+    enc, scores, _ = inputs("10k")
+    partition_scores(enc, scores)
+    caller = threading.current_thread()
+    assert len(seen) > 1
+    assert seen & set(threading.enumerate()) == {caller}
+
+
+def test_concurrent_callers_each_get_their_own_helpers(monkeypatch):
     enc, scores, _ = inputs("fuzz-0")
+    use(monkeypatch, *WHOLE)
     want = partition_scores(enc, scores).data
-    pool = transforms._executor(2)
-    tasks = [pool.submit(partition_scores, enc, scores) for _ in range(2)]
-    for task in tasks:
-        assert np.array_equal(task.result(timeout=60).data, want)
+    use(monkeypatch, 3, 64)
+    with concurrent.futures.ThreadPoolExecutor(2) as callers:
+        tasks = [callers.submit(partition_scores, enc, scores) for _ in range(2)]
+        for task in tasks:
+            assert np.array_equal(task.result(timeout=60).data, want)
+
+
+def test_a_helpers_failure_of_any_kind_reaches_the_caller(monkeypatch):
+    use(monkeypatch, 4, 10)
+
+    def fn(lo, hi):
+        time.sleep(0.001)
+        raise SystemExit(lo)  # not an Exception: would end a helper silently
+
+    with pytest.raises(SystemExit) as info:
+        transforms._for_row_blocks(100, 1, fn)
+    assert info.value.code == 0
 
 
 def decode_in_child(enc, probs, want):
@@ -324,12 +359,11 @@ def decode_in_child(enc, probs, want):
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="no fork here"
 )
-def test_a_forked_child_decodes_after_the_parent_used_the_pool(monkeypatch):
+def test_a_forked_child_decodes_after_the_parent_ran_blocks(monkeypatch):
     use(monkeypatch, 2, None)
     enc, scores, _ = inputs("10k")
     probs = softmax_levels(partition_scores(enc, scores))
-    want = beam_decode(enc, probs, 5)  # the parent's pool now has threads
-    assert transforms._pool is not None
+    want = beam_decode(enc, probs, 5)  # on the parent's helper threads
     child = multiprocessing.get_context("fork").Process(
         target=decode_in_child, args=(enc, probs, want)
     )

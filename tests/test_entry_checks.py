@@ -45,7 +45,7 @@ ARRAY_TYPES = (
 # checked here, and why.
 NOT_GATED = {
     "display_ids": "shifts ids of any shape to their 1-based form",
-    "class_depths": "walks parents, which Taxonomy checks when it is made",
+    "class_depths": "checks its parents as Taxonomy does, with ParameterError",
 }
 
 

@@ -367,6 +367,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ParameterError):
             generate_synthetic(SyntheticTreeSpec(5, 0))
 
+    @pytest.mark.parametrize("n, L", [(10.0, 3), (10, 3.0), (10, True), (True, 1)])
+    def test_counts_that_are_not_integers(self, n, L):
+        # (10.0, 3) failed inside numpy; (10, True) built a one-level forest.
+        with pytest.raises(ParameterError, match="must be an integer of at least 1"):
+            generate_synthetic(SyntheticTreeSpec(n, L))
+
     def test_encodings_are_valid(self):
         from semtree import validate
 

@@ -157,6 +157,15 @@ class TestClassDepths:
         with pytest.raises(st.ParameterError, match=r"^parent 3 of class 2 is not a class id$"):
             st.class_depths(np.array([-1, 3, 0], dtype=np.int32))
 
+    @pytest.mark.parametrize(
+        "parents", [np.array([[-1], [0]]), np.array([-1.0, 0.7])], ids=["2-d", "float"]
+    )
+    def test_refuses_what_taxonomy_refuses(self, parents):
+        # Both once gave depths [0 1]: read flat, and 0.7 as parent 0.
+        for make in (st.class_depths, lambda p: st.Taxonomy(parents=p)):
+            with pytest.raises(st.ParameterError, match=r"^parents must be a 1-d integer array$"):
+                make(parents)
+
     def test_matches_reference_on_shuffled_forests(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
