@@ -255,7 +255,8 @@ def _ranked(
         tied[ahead] = -np.inf
         tied.partition(k - 1, axis=1)
         keep = ahead | (at & ~(key > tied[:, k - 1 : k]))
-    s, c = np.nonzero(keep)
+    # Row-major, as np.nonzero gives them, which is slower on a 2-d mask.
+    s, c = np.divmod(np.flatnonzero(keep), n)
     classes = order[c]
     # Paths are distinct, and rank orders them as the paths themselves.
     ranked = np.lexsort((rank[c], key[s, c], primary[s, c], s))

@@ -7,7 +7,10 @@ classes living at depth ``l`` and holds the mask value everywhere else.
 ``flatten_for_training`` collapses both into per-level training rows with
 the padding rows dropped. ``cross_entropy`` then scores those rows
 without the mask value ever poisoning the arithmetic: its cost is one
-scan of the rows plus work on the entries that are not ``-inf``.
+pass that marks the entries that are not ``-inf`` plus work on those
+entries alone. It reads each row's level from ``origin`` and finds a
+level's live columns once, in its first row; rows whose marks match
+their level's columns are gathered by them, the others are scanned.
 
 Every row is independent of the others, so ``partition_scores``,
 ``flatten_for_training`` and the softmax and decoders in ``inference``
@@ -327,19 +330,52 @@ def flatten_for_training(
     )
 
 
+def _gather_by_level(block, live, level, columns):
+    """The live entries of ``block`` gathered by the columns of each row's
+    level: ``(values, segment starts, row of each segment)``, or None
+    unless those are exactly the entries ``live`` marks.
+
+    ``columns`` maps each level of ``level`` (one per row) to its sorted
+    columns. The rows of one level form one run of segments, each holding
+    its row's entries in column order, as a scan would find them.
+    """
+    runs = [(np.flatnonzero(level == u), cols) for u, cols in columns.items()]
+    total = sum(r.size * cols.size for r, cols in runs)
+    if total != np.count_nonzero(live):
+        return None
+    idx = np.empty(total, dtype=np.intp)
+    starts = np.empty(level.size, dtype=np.intp)
+    order = np.empty(level.size, dtype=np.intp)
+    at = i = 0
+    for r, cols in runs:
+        span = idx[at : at + r.size * cols.size]
+        np.add((r * block.shape[1])[:, None], cols, out=span.reshape(r.size, -1))
+        starts[i : i + r.size] = np.arange(at, at + span.size, cols.size)
+        order[i : i + r.size] = r
+        at, i = at + span.size, i + r.size
+    vals = np.ravel(block)[idx]
+    # As many entries as are live, none of them -inf: they are the live ones.
+    return (vals, starts, order) if (vals != NEG_INF).all() else None
+
+
 def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     """Numerically stable cross entropy over the retained training rows.
 
     Only rows masked with ``-inf`` are supported: exp(-inf) is exactly
     zero, so excluded classes drop out of the normalizer. The cost is
-    one scan of the rows for their live (not ``-inf``) entries, then
-    float64 work on those entries alone. Whole rows are taken in blocks
-    of a fixed number of entries, one after another on the calling
-    thread, so the working set beyond the ``O(num_rows)`` outputs stays
-    the same at any batch size, and each row's loss is the same as over
-    all rows at once. The per-row losses and their mean are returned.
-    Rows must be 2-d integer or real float and labels 1-d integers, one
-    per row; anything else raises ``ShapeError``.
+    one pass over the rows that marks their live (not ``-inf``) entries,
+    then float64 work on those entries alone. Every row of one level that
+    ``flatten_for_training`` makes has the same live columns, its level's
+    classes, so each level's are found once, in its first row, and the
+    other rows are gathered by them wherever the marks confirm they are
+    exactly the live entries; elsewhere the marks are scanned. Whole rows
+    are taken in blocks of a fixed number of entries, one after another
+    on the calling thread, so the working set beyond the ``O(num_rows)``
+    outputs stays the same at any batch size, and each row's loss is the
+    same as over all rows at once. The per-row losses and their mean are
+    returned. Rows must be 2-d integer or real float, labels 1-d
+    integers, one per row, and ``origin`` 2-d integers, one ``(sample,
+    level)`` pair per row; anything else raises ``ShapeError``.
     """
     if flat.mask_value != NEG_INF:
         raise UnsupportedMaskValue(
@@ -362,20 +398,51 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
         raise InconsistentRow(
             f"row {i}: the labeled class {int(labels[i]) + 1} is masked out"
         )
-    # exp(-inf) is 0, so only the live entries count. Row-major, each
-    # row's live entries are one segment, never empty: its label is live.
-    # Whole rows go in blocks of about _BLOCK_ENTRIES entries, so the mask,
-    # indices and float64 values below stay that size at any batch; each
-    # row is still one segment, summed in the same order.
+    origin = _check_array("origin", flat.origin, 2, floats=False)
+    if origin.shape != (num_rows, 2):
+        raise ShapeError(
+            f"origin must be one (sample, level) pair per row, got shape "
+            f"{origin.shape} for {num_rows} rows"
+        )
+    # exp(-inf) is 0, so only the live entries count: each row's are one
+    # segment, never empty, as its label is live. Whole rows go in blocks
+    # of about _BLOCK_ENTRIES entries, so the marks, indices and float64
+    # values below stay that size at any batch. A block whose live entries
+    # are exactly its rows' level columns is gathered by those, each row's
+    # in the order a scan finds them, so both give the same segments. A
+    # level keeps its first row's columns while the columns kept total at
+    # most n, so they never outnumber a row's entries; a level without
+    # them, or whose block failed the check, is scanned.
+    columns = {}  # level: its live columns, or None once it is scanned
+    kept = 0
+    col_type = np.min_scalar_type(-n)  # the narrowest signed dtype for a column
     lse = np.empty(num_rows)
     step = max(1, _BLOCK_ENTRIES // n)
     for lo in range(0, num_rows, step):
         block = rows[lo : lo + step]
-        # The indices go before the float64 work, to keep the peak low.
-        live = np.flatnonzero(block != NEG_INF)
-        starts = np.searchsorted(live, np.arange(block.shape[0]) * n)
-        vals = np.ravel(block)[live].astype(np.float64)
-        del live
+        live = block != NEG_INF
+        level = origin[lo : lo + step, 1]
+        levels = dict.fromkeys(level.tolist())
+        for u in levels:
+            if u not in columns and kept < n:  # its first row is in this block
+                cols = np.flatnonzero(live[np.argmax(level == u)]).astype(col_type)
+                kept += cols.size
+                columns[u] = cols if kept <= n else None
+        found = None
+        if all(columns.get(u) is not None for u in levels):
+            found = _gather_by_level(
+                block, live, level, {u: columns[u] for u in levels}
+            )
+            if found is None:  # these levels are scanned from now on
+                columns.update(levels)
+        if found is None:
+            idx = np.flatnonzero(live)
+            starts = np.searchsorted(idx, np.arange(block.shape[0]) * n)
+            found = np.ravel(block)[idx], starts, slice(None)
+            del idx
+        vals, starts, order = found
+        del live, found  # before the float64 work, to keep the peak low
+        vals = vals.astype(np.float64)
         # Shift each segment by its max so exp never overflows. NaN or +inf
         # in a live entry makes the row's loss non-finite, and the check
         # below raises rather than numpy warning about inf - inf.
@@ -383,7 +450,7 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
         with np.errstate(invalid="ignore"):
             vals -= np.repeat(m, np.diff(starts, append=vals.size))
         sums = np.add.reduceat(np.exp(vals, out=vals), starts)
-        lse[lo : lo + step] = np.log(sums) + m
+        lse[lo : lo + step][order] = np.log(sums) + m
     per_row = lse - label_scores
     if not np.isfinite(per_row).all():
         i = int(np.argmax(~np.isfinite(per_row)))

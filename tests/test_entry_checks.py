@@ -90,6 +90,12 @@ def _entries(enc, tmp_path):
             lambda a: cross_entropy(dataclasses.replace(flat, labels=a)),
         ),
         (
+            cross_entropy,
+            "origin",
+            flat.origin,
+            lambda a: cross_entropy(dataclasses.replace(flat, origin=a)),
+        ),
+        (
             softmax_levels,
             "scores",
             parts.data,
@@ -176,11 +182,16 @@ def test_every_array_argument_is_checked_where_it_enters(toy_encoding, tmp_path)
         for fn, name, good, call in entries
         for bad in _bad_values(good)
     ]
-    for fn, name, labels, call in entries:
+    for fn, name, good, call in entries:
         if (fn, name) == (cross_entropy, "labels"):
             # (R, 1) labels were broadcast against the rows into an (R, R)
             # loss; a count other than the rows' failed while indexing.
-            for bad in (labels[:, None], labels[:-1], np.append(labels, 0)):
+            for bad in (good[:, None], good[:-1], np.append(good, 0)):
+                cases.append((fn, name, bad, call))
+        if (fn, name) == (cross_entropy, "origin"):
+            # The loss groups rows by the level in their origin, so it wants
+            # one (sample, level) pair per row.
+            for bad in (good[:-1], np.vstack((good, good[:1])), good[:, :1]):
                 cases.append((fn, name, bad, call))
     missed = [
         (fn.__name__, name, str(bad.dtype), np.shape(bad), fault)

@@ -474,6 +474,148 @@ class TestCrossEntropy:
         assert peaks[1] - peaks[0] <= 64 * (large.num_rows - small.num_rows)
 
 
+    @pytest.mark.parametrize("rows_per_block", [None, 3])
+    def test_pipeline_rows_equal_the_whole_matrix(self, monkeypatch, rows_per_block):
+        # The rows of one level are gathered by that level's columns; the
+        # losses stay those of a scan of every row, bit for bit.
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            enc = encode(random_taxonomy(rng, max_classes=300, max_depth=6))
+            if rows_per_block:
+                monkeypatch.setattr(
+                    transforms, "_BLOCK_ENTRIES", rows_per_block * enc.num_classes
+                )
+            batch = int(rng.integers(1, 50))
+            dtype = (np.float32, np.float64)[int(rng.integers(2))]
+            scores = (rng.standard_normal((batch, enc.num_classes)) * 4).astype(dtype)
+            labels = rng.integers(0, enc.num_classes, size=batch)
+            flat = _flat_from(enc, scores, labels)
+            want = oracles.cross_entropy_whole_matrix(flat.rows, flat.labels)
+            np.testing.assert_array_equal(cross_entropy(flat).per_row, want)
+
+    def test_toy_and_10k_rows_are_gathered(self, monkeypatch, toy_encoding):
+        rng = np.random.default_rng(30)
+        enc = encode(generate_synthetic(SyntheticTreeSpec(10_000, 8, seed=0)))
+        cases = [
+            (toy_encoding, toy_scores(), TOY_LABELS_DISPLAY - 1),
+            (
+                enc,
+                rng.standard_normal((64, enc.num_classes), dtype=np.float32),
+                rng.integers(0, enc.num_classes, size=64),
+            ),
+        ]
+        gathered = _count_gathers(monkeypatch)
+        for enc, scores, labels in cases:
+            flat = _flat_from(enc, scores, labels)
+            result = cross_entropy(flat)
+            assert gathered and all(gathered)
+            want = oracles.cross_entropy_whole_matrix(flat.rows, flat.labels)
+            np.testing.assert_array_equal(result.per_row, want)
+
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize("change", ["extra", "masked", "moved"])
+    def test_a_row_off_its_level_is_scanned(self, monkeypatch, change, first):
+        # One row, the first of its level or a later one, gains a live entry,
+        # loses one that is not its label, or both, keeping its count: its
+        # block is scanned, others are still gathered, and each loss is the
+        # scan's.
+        monkeypatch.setattr(transforms, "_BLOCK_ENTRIES", 4 * 1_000)
+        flat = _flat_1k(32, seed=31)
+        at_level = np.flatnonzero(flat.origin[:, 1] == 5)
+        i = at_level[0] if first else at_level[at_level.size // 2]
+        rows = flat.rows.copy()
+        live = np.flatnonzero(rows[i] != NEG_INF)
+        if change in ("extra", "moved"):
+            rows[i, np.argmax(rows[i] == NEG_INF)] = 0.5
+        if change in ("masked", "moved"):
+            rows[i, live[live != flat.labels[i]][0]] = NEG_INF
+        gathered = _count_gathers(monkeypatch)
+        result = cross_entropy(dataclasses.replace(flat, rows=rows)).per_row
+        assert 0 < sum(gathered) < -(-flat.num_rows // 4)
+        np.testing.assert_array_equal(
+            result, oracles.cross_entropy_whole_matrix(rows, flat.labels)
+        )
+        assert result[i] != cross_entropy(flat).per_row[i]
+
+    @pytest.mark.parametrize("origin", ["zeroed", "shuffled"])
+    def test_origins_that_miss_their_rows_change_no_loss(self, monkeypatch, origin):
+        monkeypatch.setattr(transforms, "_BLOCK_ENTRIES", 4 * 1_000)
+        flat = _flat_1k(32, seed=32)
+        if origin == "zeroed":
+            wrong = np.zeros_like(flat.origin)
+        else:
+            wrong = flat.origin[np.random.default_rng(33).permutation(flat.num_rows)]
+        result = cross_entropy(dataclasses.replace(flat, origin=wrong)).per_row
+        want = oracles.cross_entropy_whole_matrix(flat.rows, flat.labels)
+        np.testing.assert_array_equal(result, want)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_gathered_entry_names_its_row(self, monkeypatch, bad):
+        # NaN and +inf are live, so these rows are gathered, not scanned.
+        flat = _flat_1k(32, seed=34)
+        rows = flat.rows.copy()
+        at_level = np.flatnonzero(flat.origin[:, 1] == 5)
+        for i in at_level[[3, 1]]:
+            live = np.flatnonzero(rows[i] != NEG_INF)
+            rows[i, live[live != flat.labels[i]][-1]] = bad
+        gathered = _count_gathers(monkeypatch)
+        with pytest.raises(
+            InconsistentRow, match=f"^row {at_level[1]} produced a non-finite"
+        ):
+            cross_entropy(dataclasses.replace(flat, rows=rows))
+        assert gathered and all(gathered)
+
+    def test_a_level_for_every_row_keeps_the_peak_flat(self):
+        # As test_peak_memory_does_not_grow_with_the_batch, but every row has
+        # a level of its own, so each row's columns would be kept if the loss
+        # did not stop keeping them once they number the classes.
+        tax = generate_synthetic(SyntheticTreeSpec(10_000, 8, seed=0))
+        enc = encode(tax)
+        scores = np.random.default_rng(35).standard_normal(
+            (16, enc.num_classes), dtype=np.float32
+        )
+        small = _flat_from(enc, scores, np.full(16, int(np.argmax(enc.level_of))))
+        peaks = []
+        for copies in (1, 16):
+            rows = np.tile(small.rows, (copies, 1))
+            own = np.column_stack((np.zeros(len(rows)), np.arange(len(rows))))
+            flat = FlatTrainingSet(
+                rows=rows,
+                labels=np.tile(small.labels, copies),
+                origin=own.astype(np.int64),
+            )
+            tracemalloc.start()
+            try:
+                cross_entropy(flat)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 64 * 15 * small.num_rows
+
+
+def _flat_1k(batch, seed):
+    """Pipeline rows of ``batch`` samples at 1,000 classes x 6 levels, whose
+    level 5 holds 519 classes."""
+    enc = encode(generate_synthetic(SyntheticTreeSpec(1_000, 6, seed=0)))
+    rng = np.random.default_rng(seed)
+    scores = rng.standard_normal((batch, enc.num_classes), dtype=np.float32)
+    return _flat_from(enc, scores, rng.integers(0, enc.num_classes, size=batch))
+
+
+def _count_gathers(monkeypatch):
+    """For each block of rows that the loss checks against their levels'
+    columns, whether it then gathered them, in order."""
+    gathered, real = [], transforms._gather_by_level
+
+    def spy(*args):
+        found = real(*args)
+        gathered.append(found is not None)
+        return found
+
+    monkeypatch.setattr(transforms, "_gather_by_level", spy)
+    return gathered
+
+
 def _hand_built(rows, labels):
     labels = np.asarray(labels, dtype=np.int64)
     return FlatTrainingSet(
