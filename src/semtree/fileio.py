@@ -8,7 +8,10 @@ The reader checks the declared length against the stream's size before
 it allocates anything, so a stream with trailing or missing bytes is
 rejected rather than partially decoded, and then reads each array in
 place. Class ids on disk are 1-based with -1 as padding; every reader
-hands back the 0-based in-memory form.
+hands back the 0-based in-memory form, range-checked and shifted in
+place a block of ``tree._BLOCK_ENTRIES`` entries at a time, so a checked
+c08 encoding read peaks at about 1.1x the file. The writer streams each
+array in blocks of the same size, each converted on its own.
 
 Score and label files may also be CSV (picked by the ``.csv``
 extension) for small batches; the binary formats have no size cap.
@@ -25,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .tree import PAD, TreeEncoding, display_ids, validate
+from .tree import PAD, TreeEncoding, _blocks, validate
 from .transforms import (
     NEG_INF,
     FlatTrainingSet,
@@ -109,46 +112,117 @@ def _mask_value(mode: int, fill: float) -> float:
 # -- the container -------------------------------------------------------------
 
 
+def _runs(a: np.ndarray):
+    """(offset, run) pairs that cover a's entries in row-major order, where
+    offset is the flat index of the run's first entry: runs of at most
+    ``tree._BLOCK_ENTRIES`` entries of a C-contiguous array, else blocks of
+    whole rows. Each run is a view."""
+    if a.flags.c_contiguous:
+        a = a.reshape(-1)
+    row = math.prod(a.shape[1:])
+    return ((rows.start * row, a[rows]) for rows in _blocks(len(a), row))
+
+
+def _first(a: np.ndarray, flag) -> Optional[tuple]:
+    """The index of a's first entry, in row-major order, that ``flag`` (a
+    run of entries -> their marks) marks, or None."""
+    for offset, run in _runs(a):
+        marks = flag(run)
+        if marks.any():
+            return np.unravel_index(offset + int(np.argmax(marks)), a.shape)
+    return None
+
+
+def _position(at: tuple) -> str:
+    return ", ".join(str(i + 1) for i in at)
+
+
 def _outside(a: np.ndarray, name: str, low: int, high: Optional[int], pad: bool):
     """The message naming a's first entry outside low..high (PAD allowed
     with ``pad``), or None if there is none."""
-    # The two reductions need no temporaries; masks are built only on a miss.
+
+    def flag(run):
+        bad = run < low
+        if high is not None:
+            bad |= run > high
+        if pad:
+            bad &= run != PAD
+        return bad
+
+    # The two reductions need no temporaries; marks are made only on a
+    # miss, which a PAD always causes, and one run at a time.
     if a.size == 0 or (a.min() >= low and (high is None or a.max() <= high)):
         return None
-    bad = a < low
-    if high is not None:
-        bad |= a > high
-    if pad:
-        bad &= a != PAD
-    if not bad.any():
+    if (at := _first(a, flag)) is None:
         return None
-    at = np.unravel_index(np.argmax(bad), a.shape)
     valid = f"{low}..{'' if high is None else high}"
     return (
-        f"{name} {int(a[at])} at position {', '.join(str(i + 1) for i in at)} "
+        f"{name} {int(a[at])} at position {_position(at)} "
         f"is not in " + (f"{valid} or {PAD}" if pad else valid)
     )
 
 
 def _decode(a: np.ndarray, spec: _Array) -> None:
-    """Reject entries outside the spec's range, then make ids 0-based in place."""
+    """Reject entries outside the spec's range, then make ids 0-based in
+    place, a run at a time."""
     if spec.low is None:
         return
     if message := _outside(a, spec.name, spec.low, spec.high, spec.pad):
         raise FormatError(message)
     if spec.ids:
-        np.subtract(a, 1, out=a, where=(a != PAD) if spec.pad else True)
+        for _, run in _runs(a):
+            run -= (run != PAD) if spec.pad else 1
+
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def _beyond_float32(run: np.ndarray) -> np.ndarray:
+    """Marks the finite entries that float32 cannot hold."""
+    bad = run > _FLOAT32_MAX
+    bad |= run < -_FLOAT32_MAX
+    bad &= np.isfinite(run)
+    return bad
 
 
 def _check_range(name: str, a: np.ndarray, spec: _Array) -> None:
     """Refuse, with ``ShapeError``, entries that the spec's reader would
-    refuse once written; ids are checked in their 0-based form."""
+    refuse once written, and entries that the spec's dtype cannot hold:
+    ids 1-based, and finite floats beyond float32's range (``±inf`` and
+    NaN are written as they are). Ids are checked in their 0-based form."""
+    if spec.dtype == "<f4":
+        # Only wider floats can overflow float32; they are scanned a run at a time.
+        if a.dtype.kind == "f" and a.dtype.itemsize > 4:
+            if (at := _first(a, _beyond_float32)) is not None:
+                raise ShapeError(
+                    f"{name} entry {float(a[at])} at position {_position(at)} "
+                    f"is beyond float32's range"
+                )
+        return
     if spec.low is None:
         return
     shift = 1 if spec.ids else 0
     high = None if spec.high is None else spec.high - shift
     if message := _outside(a, f"{name} entry", spec.low - shift, high, spec.pad):
         raise ShapeError(message)
+    # The shift is done in the spec's dtype, so its largest value is no id.
+    top = np.iinfo(spec.dtype).max - shift
+    if a.size and np.iinfo(a.dtype).max > top and a.max() > top:
+        at = _first(a, lambda run: run > top)
+        raise ShapeError(
+            f"{name} entry {int(a[at])} at position {_position(at)} does not "
+            f"fit in {np.dtype(spec.dtype).name}" + (" once 1-based" if spec.ids else "")
+        )
+
+
+def _on_disk(run: np.ndarray, spec: _Array) -> np.ndarray:
+    """A run of entries in the spec's dtype, ids shifted to 1-based in it;
+    the shift works on a copy."""
+    if not spec.ids:
+        return np.ascontiguousarray(run, dtype=spec.dtype)
+    run = run.astype(spec.dtype)
+    run += (run != PAD) if spec.pad else 1
+    return run
 
 
 def _read(stream, size: int, fmt: _Format) -> list:
@@ -187,8 +261,12 @@ def _write(dest, fmt: _Format, dims: tuple, arrays, mask_value=None) -> None:
 
     Each array must have the shape the table gives for ``dims``, be
     integer, or real float where the table stores floats, and hold only
-    entries its reader accepts. That is checked before a file is opened,
-    so a mismatch leaves no file behind.
+    entries its reader accepts and its on-disk dtype holds. That is
+    checked before a file is opened, so a mismatch leaves no file behind.
+    Each array is then written in runs of ``tree._BLOCK_ENTRIES`` entries,
+    each converted to the on-disk dtype (ids shifted to 1-based in it) on
+    its own, so the call holds one run's copy besides its input: about
+    1.3 MB for the c08 encoding.
     """
     if len(dims) != fmt.dims:
         raise ShapeError(
@@ -209,8 +287,8 @@ def _write(dest, fmt: _Format, dims: tuple, arrays, mask_value=None) -> None:
     with open(dest, "wb") if is_path else contextlib.nullcontext(dest) as stream:
         stream.write(fmt.header.pack(fmt.magic, FORMAT_VERSION, *dims, *mode))
         for spec, a in zip(specs, arrays):
-            a = display_ids(a) if spec.ids else a
-            stream.write(np.ascontiguousarray(a, dtype=spec.dtype))
+            for _, run in _runs(np.asarray(a)):
+                stream.write(_on_disk(run, spec))
 
 
 def _read_file(path: Pathish, decode, *args):
@@ -279,6 +357,8 @@ def read_encoding(path: Pathish, check: bool = True) -> TreeEncoding:
 def write_scores(scores: np.ndarray, path: Pathish) -> None:
     scores = _check_array("scores", scores, 2)
     if _is_csv(path):
+        (spec,) = _FORMATS["scores"].layout(*scores.shape)
+        _check_range("scores", scores, spec)
         _csv_cap(scores.size, "scores")
         np.savetxt(path, scores.astype(np.float32), fmt="%.9g", delimiter=",")
         return
@@ -360,7 +440,7 @@ def write_labels(labels: np.ndarray, path: Pathish) -> None:
         (spec,) = _FORMATS["labels"].layout(labels.size)
         _check_range("labels", labels, spec)
         _csv_cap(labels.size, "labels")
-        np.savetxt(path, display_ids(labels), fmt="%d")
+        np.savetxt(path, _on_disk(labels, spec), fmt="%d")
         return
     _write(path, _FORMATS["labels"], labels.shape, (labels,))
 

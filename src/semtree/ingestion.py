@@ -52,6 +52,9 @@ _NON_ASCII_SPACE = re.compile(r"[^\S\x00-\x7f]")
 # every id of at most _MAX_DIGITS digits lies below it.
 _BIG = 1 << 62
 _MAX_DIGITS = 18
+# A token as the arrays find one: ``\s`` is what _NON_ASCII_SPACE and
+# _SPACE call whitespace.
+_TOKEN = re.compile(r"\S+")
 
 
 def _char_codes(text: str) -> np.ndarray:
@@ -79,9 +82,11 @@ def _token_values(text, codes, space, starts, stops):
     ok = np.ones(starts.size, dtype=bool)
     s, e = starts[plain], stops[plain]
     v = values[plain]
+    pos = np.empty_like(e)
     for back in range(int((e - s).max(initial=0)), 0, -1):
-        pos = e - back
-        v = v * 10 + np.where(pos >= s, digits.take(pos, mode="clip"), 0)
+        np.subtract(e, back, out=pos)
+        v *= 10
+        v += np.where(pos >= s, digits.take(pos, mode="clip"), 0)
     values[plain] = v
     big_at, bigs = [], []
     for i in np.flatnonzero(~plain).tolist():
@@ -99,6 +104,50 @@ def _token_values(text, codes, space, starts, stops):
         rank = np.unique(np.array(bigs, dtype=object), return_inverse=True)[1]
         values[big_at] = _BIG + rank
     return values, ok
+
+
+def _records(source):
+    """An edge list's text, comments cut, and per non-blank line (a record)
+    its 0-based line number, the offset of its first token in the text, its
+    token count, the value codes of its first two tokens (the second 0 for
+    a bare id), and whether either of those two is not an id of at least 1.
+
+    The per-character and per-token arrays stay in here, so they are freed
+    before the caller works on the records.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as f:
+            text = f.read()
+        if "#" in text:
+            text = re.sub(r"#[^\n]*", "", text)
+        codes = _char_codes(text)
+        ends = np.flatnonzero(codes == ord("\n"))
+    else:
+        lines = list(source)
+        text = "\n".join(lines)
+        if "#" in text:  # a comment runs to the end of its element
+            lines = [line.partition("#")[0] for line in lines]
+            text = "\n".join(lines)
+        codes = _char_codes(text)
+        sizes = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+        del lines
+        ends = np.cumsum(sizes + 1) - 1  # where each element's separator sits
+
+    space = _SPACE[codes]
+    bounds = np.diff(space.view(np.int8), prepend=np.int8(1), append=np.int8(1))
+    starts, stops = np.flatnonzero(bounds == -1), np.flatnonzero(bounds == 1)
+    del bounds
+    values, ok = _token_values(text, codes, space, starts, stops)
+    del codes, space, stops
+    token_line = np.searchsorted(ends, starts)
+    head = np.flatnonzero(np.diff(token_line, prepend=-1))
+    fields = np.diff(head, append=starts.size)
+    second = np.minimum(head + 1, starts.size - 1)  # in bounds for a last bare id
+    bad = ~ok | (values < 1)
+    paired = fields >= 2
+    key = np.where(paired, values[second], 0)
+    faulty = bad[head] | (paired & bad[second])
+    return text, token_line[head], starts[head], fields, values[head], key, faulty
 
 
 def parse_edge_list(
@@ -125,74 +174,44 @@ def parse_edge_list(
     """
     if policy not in ("first", "reject"):
         raise ParameterError(f"unknown multi-parent policy {policy!r}")
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as f:
-            text = f.read()
-        if "#" in text:
-            text = re.sub(r"#[^\n]*", "", text)
-        codes = _char_codes(text)
-        ends = np.flatnonzero(codes == ord("\n"))
-    else:
-        lines = list(source)
-        text = "\n".join(lines)
-        if "#" in text:  # a comment runs to the end of its element
-            lines = [line.partition("#")[0] for line in lines]
-            text = "\n".join(lines)
-        codes = _char_codes(text)
-        sizes = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
-        ends = np.cumsum(sizes + 1) - 1  # where each element's separator sits
+    text, line, start, fields, child, key, faulty = _records(source)
 
-    space = _SPACE[codes]
-    bounds = np.diff(space.view(np.int8), prepend=np.int8(1), append=np.int8(1))
-    starts, stops = np.flatnonzero(bounds == -1), np.flatnonzero(bounds == 1)
-    values, ok = _token_values(text, codes, space, starts, stops)
+    def words(r, count):  # the first ``count`` tokens of record r
+        found = _TOKEN.finditer(text, int(start[r]))
+        return [m.group() for m in itertools.islice(found, count)]
 
-    def word(i):
-        return text[starts[i] : stops[i]]
-
-    token_line = np.searchsorted(ends, starts)
-
-    # One record per non-blank line: its first token, field count, child
-    # and key (the parent's id, 0 for a root line).
-    head = np.flatnonzero(np.diff(token_line, prepend=-1))
-    fields = np.diff(head, append=starts.size)
-    paired = fields >= 2
-    second = np.minimum(head + 1, starts.size - 1)  # in bounds for a last bare id
-    child = values[head]
-    key = np.where(paired, values[second], 0)
-    bad = ~ok | (values < 1)
     ids, group = np.unique(child, return_inverse=True)
-    first = np.full(ids.size, head.size)
-    np.minimum.at(first, group, np.arange(head.size))
+    first = np.full(ids.size, child.size)
+    np.minimum.at(first, group, np.arange(child.size))
     first_of = first[group]  # the record that first declared each child
-    repeat = first_of != np.arange(head.size)
+    repeat = first_of != np.arange(child.size)
     duplicate = repeat & (key == key[first_of])
-    fault = (fields > 2) | bad[head] | (paired & bad[second]) | duplicate
+    fault = (fields > 2) | faulty | duplicate
     if policy == "reject":
         fault |= repeat
     # A record's flags depend only on earlier records, and those before the
     # first flagged one are sound, so it is where the line loop would stop.
     if fault.any():
         r = int(np.argmax(fault))
-        words = [word(i) for i in range(head[r], head[r] + min(fields[r], 2))]
         raise _line_error(
-            int(token_line[head[r]]) + 1,
+            int(line[r]) + 1,
             int(fields[r]),
-            words,
+            words(r, min(int(fields[r]), 2)),
             bool(key[first_of[r]]),
             bool(duplicate[r]),
         )
 
-    if not head.size:
+    if not child.size:
         raise EdgeListError("edge list declares no classes")
     declared = np.flatnonzero(~repeat)
     keys = key[declared]
     dangling = (keys > 0) & ~np.isin(keys, ids)
     if dangling.any():
         r = declared[np.argmax(keys == keys[dangling].min())]
+        named_child, named_parent = map(int, words(r, 2))
         raise DanglingEdge(
-            f"parent {int(word(head[r] + 1))} of class {int(word(head[r]))} "
-            f"is never declared as a class"
+            f"parent {named_parent} of class {named_child} is never declared "
+            f"as a class"
         )
     n = ids.size
     if ids[-1] != n:

@@ -38,13 +38,9 @@ from .errors import (
     ShapeError,
     UnsupportedMaskValue,
 )
-from .tree import PAD, TreeEncoding
+from .tree import _BLOCK_ENTRIES, PAD, TreeEncoding
 
 NEG_INF = float("-inf")
-
-# Entries per block of whole rows (at least one row): a block's working set
-# stays in a core's L2 cache.
-_BLOCK_ENTRIES = 1 << 18
 
 
 def _workers() -> int:

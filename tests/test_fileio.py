@@ -69,6 +69,31 @@ class TestEncodingFiles:
         # The arrays read are 1.0x the file; validate's checks add the rest.
         assert peak < 2 * p.stat().st_size
 
+    def test_write_peak_is_fixed(self, full_scale_tree, tmp_path):
+        # Each array is written a block at a time; the two whole (n, L)
+        # int32 copies of the 1-based shift peaked at 21.2 MB.
+        enc = full_scale_tree["encoding"]
+        tracemalloc.start()
+        try:
+            fileio.write_encoding(enc, tmp_path / "c08.enc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+
+    def test_checked_read_peaks_near_the_file(self, full_scale_tree, tmp_path):
+        # The arrays read are the file; the range check, the id shift and
+        # validate each hold a block at a time (1.61x the file before).
+        p = tmp_path / "c08.enc"
+        fileio.write_encoding(full_scale_tree["encoding"], p)
+        tracemalloc.start()
+        try:
+            fileio.read_encoding(p, check=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * p.stat().st_size
+
     @pytest.mark.parametrize("entry", [9, -2])
     def test_path_entry_out_of_range_rejected_on_write(self, enc, tmp_path, entry):
         # Written as 1-based 10 (or -1, read back as padding) once.
@@ -159,6 +184,27 @@ class TestScoreFiles:
             fileio.write_scores(bad, p)
         assert not p.exists()
 
+    @pytest.mark.parametrize("name", ["x.bin", "x.csv"])
+    def test_float64_beyond_float32_rejected_on_write(self, tmp_path, name):
+        # Cast to float32, 1e300 was written as inf with only a warning.
+        p = tmp_path / name
+        bad = np.zeros((2, 3))
+        bad[1, 1], bad[1, 2], bad[0, 0] = 1e300, -1e300, np.inf
+        array = "HTSB payload array 1" if name == "x.bin" else "scores"
+        where = f"{array} entry 1e+300 at position 2, 2 is beyond float32's range"
+        with pytest.raises(ShapeError, match=re.escape(where) + "$"):
+            fileio.write_scores(bad, p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("name", ["x.bin", "x.csv"])
+    def test_float64_within_float32_written_as_float32(self, tmp_path, name):
+        # Its largest finite value, the infinities and NaN are kept.
+        top = float(np.finfo(np.float32).max)
+        wide = np.array([[top, -top, 0.1], [np.inf, -np.inf, np.nan]])
+        p = tmp_path / name
+        fileio.write_scores(wide, p)
+        np.testing.assert_array_equal(fileio.read_scores(p), wide.astype(np.float32))
+
 
 # How each CSV reader counts the fields of a line, and whether it wants one.
 CSV_FIELDS = {
@@ -248,6 +294,26 @@ class TestLabelFiles:
             assert not p.exists()
 
     @pytest.mark.parametrize("name", ["x.bin", "x.csv"])
+    def test_narrow_label_shifted_in_the_file_dtype(self, tmp_path, name):
+        # int8 127 + 1 wrapped to -128, which read_labels refused.
+        p = tmp_path / name
+        fileio.write_labels(np.array([127], dtype=np.int8), p)
+        np.testing.assert_array_equal(fileio.read_labels(p), [127])
+
+    @pytest.mark.parametrize("name", ["x.bin", "x.csv"])
+    @pytest.mark.parametrize(
+        "label", [np.int64(2**63 - 1), np.uint64(2**63)], ids=["int64", "uint64"]
+    )
+    def test_label_beyond_int64_once_one_based_rejected(self, tmp_path, name, label):
+        # Both were written as a negative 1-based label.
+        p = tmp_path / name
+        array = "HTLB payload array 1" if name == "x.bin" else "labels"
+        where = f"{array} entry {int(label)} at position 2 does not fit in int64 once 1-based"
+        with pytest.raises(ShapeError, match=re.escape(where) + "$"):
+            fileio.write_labels(np.array([0, label, label], dtype=label.dtype), p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("name", ["x.bin", "x.csv"])
     def test_float_labels_rejected_on_write(self, tmp_path, name):
         p = tmp_path / name
         with pytest.raises(ShapeError, match="labels must be integers, not float64"):
@@ -308,6 +374,12 @@ class TestPathLabelFiles:
             fileio.write_path_labels(PathLabels(data=np.array([[-5, 1]])), p)
         assert not p.exists()
 
+    def test_narrow_label_shifted_in_the_file_dtype(self, tmp_path):
+        # uint8 255 + 1 wrapped to 0, which read_path_labels refused.
+        p = tmp_path / "paths.bin"
+        fileio.write_path_labels(PathLabels(data=np.array([[255]], dtype=np.uint8)), p)
+        np.testing.assert_array_equal(fileio.read_path_labels(p).data, [[255]])
+
     def test_zero_entry_rejected(self, tmp_path):
         p = tmp_path / "paths.bin"
         with open(p, "wb") as f:
@@ -347,6 +419,17 @@ class TestPartitionedFiles:
         got = fileio.read_partitioned(p)
         assert got.mask_value == -7.5
         np.testing.assert_array_equal(got.data, parts.data)
+
+    def test_float64_beyond_float32_rejected_on_write(self, enc, scores, tmp_path):
+        # Masked -inf entries pass; the finite 1e39 does not.
+        parts = partition_scores(enc, scores.astype(np.float64))
+        data = parts.data.copy()
+        data[3, 2, 8] = 1e39
+        p = tmp_path / "parts.bin"
+        where = "HTPT payload array 1 entry 1e+39 at position 4, 3, 9 is beyond float32's range"
+        with pytest.raises(ShapeError, match=re.escape(where) + "$"):
+            fileio.write_partitioned(PartitionedScores(data=data), p)
+        assert not p.exists()
 
     def test_bool_data_rejected_on_write(self, enc, scores, tmp_path):
         parts = partition_scores(enc, scores)
@@ -420,6 +503,17 @@ class TestFlatFiles:
         where = f"HTFT payload array {array} entry {value} at position {at} is not in 0.."
         with pytest.raises(ShapeError, match=re.escape(where) + "$"):
             fileio.write_flat(dataclasses.replace(flat, **{field: ids}), p)
+        assert not p.exists()
+
+    def test_float64_beyond_float32_rejected_on_write(self, enc, scores, tmp_path):
+        parts = partition_scores(enc, scores.astype(np.float64), mask_value=float("nan"))
+        flat = flatten_for_training(parts, map_labels(enc, np.array([3, 6, 1, 5, 2])))
+        rows = flat.rows.copy()
+        rows[2, 0] = -3e38 * 10
+        p = tmp_path / "flat.bin"
+        where = "HTFT payload array 1 entry -3e+39 at position 3, 1 is beyond float32's range"
+        with pytest.raises(ShapeError, match=re.escape(where) + "$"):
+            fileio.write_flat(dataclasses.replace(flat, rows=rows), p)
         assert not p.exists()
 
     def test_labels_stored_one_based(self, enc, scores, tmp_path):

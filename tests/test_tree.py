@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,20 @@ class TestValidate:
         with pytest.raises(st.ParameterError, match="masks must be a boolean"):
             self._rebuild(toy_encoding, masks=masks)
 
+    def test_fixed_memory_at_c08(self, full_scale_tree):
+        # Blocks of path rows; whole (n, L) temporaries peaked at 7.1 MB.
+        # level_of (0.47 MB) is derived inside, as on a checked read.
+        enc = full_scale_tree["encoding"]
+        fresh = st.TreeEncoding(masks=enc.masks, paths=enc.paths)
+        tracemalloc.start()
+        try:
+            report = st.validate(fresh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak <= 2_000_000
+
 
 class TestStorage:
     def test_toy_closed_form(self, toy_encoding):
@@ -471,6 +486,19 @@ class TestDerivedLevels:
                 expected.append(rows[0] if rows else 0)
             assert enc.level_of.dtype == np.int32
             np.testing.assert_array_equal(enc.level_of, expected)
+
+    def test_derived_below_the_masks_at_c08(self, full_scale_tree):
+        # The argmin over all of masks made a transposed copy of it.
+        enc = full_scale_tree["encoding"]
+        fresh = st.TreeEncoding(masks=enc.masks, paths=enc.paths)
+        tracemalloc.start()
+        try:
+            level_of = fresh.level_of
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < enc.masks.nbytes
+        np.testing.assert_array_equal(level_of, np.argmin(enc.masks, axis=0))
 
     def test_read_only(self, toy_encoding):
         level_of = toy_encoding.level_of
