@@ -17,6 +17,7 @@ from .transforms import (
     _BLOCK_ENTRIES,
     _check_count,
     _check_memory,
+    _workers,
     cross_entropy,
     flatten_for_training,
     map_labels,
@@ -114,11 +115,12 @@ def run_bench(
     n, L = enc.num_classes, enc.num_levels
     # Peak is the loss: the partitioned tensor it reads, the flattened
     # rows (at most one per sample and level, so at most that tensor's
-    # size again) and one block of the loss's whole rows, at most 24 bytes
-    # an entry (int64 indices, the values in the rows' dtype and in float64).
-    block = 24 * max(_BLOCK_ENTRIES, n)
+    # size again) and the loss's scratch: for each thread a block's marks,
+    # its gathered float32 entries and float64 values, at most 13 bytes an
+    # entry, and an int64 column index per class.
+    scratch = (13 * _workers() + 8) * max(_BLOCK_ENTRIES, n)
     required = (
-        scores_bytes(batch_size, n) + 2 * partitioned_bytes(batch_size, L, n) + block
+        scores_bytes(batch_size, n) + 2 * partitioned_bytes(batch_size, L, n) + scratch
     )
     _check_memory("benchmark", required)
 

@@ -9,15 +9,15 @@ the padding rows dropped. ``cross_entropy`` then scores those rows
 without the mask value ever poisoning the arithmetic: its cost is one
 pass that marks the entries that are not ``-inf`` plus work on those
 entries alone. It reads each row's level from ``origin`` and finds a
-level's live columns once, in its first row; rows whose marks match
-their level's columns are gathered by them, the others are scanned.
+level's live columns once, in its first row; a block of rows whose marks
+match their levels' columns is gathered by them, others are scanned.
 
 Every row is independent of the others, so ``partition_scores``,
-``flatten_for_training`` and the softmax and decoders in ``inference``
-run over blocks of whole rows, shared out among one thread per CPU the
-process may use. NumPy releases the interpreter lock inside its loops,
-and every block writes its own rows of one preallocated output, so
-results do not depend on the number of threads.
+``flatten_for_training``, ``cross_entropy`` and the softmax and decoders
+in ``inference`` run over blocks of whole rows, shared out among one
+thread per CPU the process may use. NumPy releases the interpreter lock
+inside its loops, and every block writes its own rows of one
+preallocated output, so results do not depend on the number of threads.
 """
 
 import contextvars
@@ -326,32 +326,40 @@ def flatten_for_training(
     )
 
 
-def _gather_by_level(block, live, level, columns):
-    """The live entries of ``block`` gathered by the columns of each row's
-    level: ``(values, segment starts, row of each segment)``, or None
-    unless those are exactly the entries ``live`` marks.
+def _gather_by_level(block, live, cols, out):
+    """Each row of ``block`` gathered by its level's sorted columns (``cols``,
+    one array per row) into the front of ``out``, row after row: the number
+    of entries, or None unless they are exactly the block's ``live`` ones.
 
-    ``columns`` maps each level of ``level`` (one per row) to its sorted
-    columns. The rows of one level form one run of segments, each holding
-    its row's entries in column order, as a scan would find them.
+    Each row's entries come in column order, as a scan would find them.
     """
-    runs = [(np.flatnonzero(level == u), cols) for u, cols in columns.items()]
-    total = sum(r.size * cols.size for r, cols in runs)
-    if total != np.count_nonzero(live):
+    if sum(c.size for c in cols) != live:
         return None
-    idx = np.empty(total, dtype=np.intp)
-    starts = np.empty(level.size, dtype=np.intp)
-    order = np.empty(level.size, dtype=np.intp)
-    at = i = 0
-    for r, cols in runs:
-        span = idx[at : at + r.size * cols.size]
-        np.add((r * block.shape[1])[:, None], cols, out=span.reshape(r.size, -1))
-        starts[i : i + r.size] = np.arange(at, at + span.size, cols.size)
-        order[i : i + r.size] = r
-        at, i = at + span.size, i + r.size
-    vals = np.ravel(block)[idx]
-    # As many entries as are live, none of them -inf: they are the live ones.
-    return (vals, starts, order) if (vals != NEG_INF).all() else None
+    at = 0
+    for row, c in zip(block, cols):
+        # c holds valid columns, so "clip" only spares take a buffer.
+        row.take(c, out=out[at : at + c.size], mode="clip")
+        at += c.size
+    # As many entries as are live, none of them -inf: they are the live
+    # ones. fmin passes over NaN, which would hide a -inf from min.
+    return at if np.fmin.reduce(out[:at]) != NEG_INF else None
+
+
+def _log_sum_exp(vals, lengths):
+    """The log of the summed exponentials of each segment of the float64
+    ``vals``, whose ``lengths`` are given in order; ``vals`` is overwritten.
+
+    Each segment is shifted by its max so exp never overflows. NaN or +inf
+    in a segment makes its result non-finite, without numpy warning about
+    inf - inf.
+    """
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    m = np.maximum.reduceat(vals, starts)
+    with np.errstate(invalid="ignore"):
+        for lo, hi, top in zip(starts.tolist(), ends.tolist(), m):
+            vals[lo:hi] -= top
+    return np.log(np.add.reduceat(np.exp(vals, out=vals), starts)) + m
 
 
 def cross_entropy(flat: FlatTrainingSet) -> LossResult:
@@ -365,13 +373,17 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     classes, so each level's are found once, in its first row, and the
     other rows are gathered by them wherever the marks confirm they are
     exactly the live entries; elsewhere the marks are scanned. Whole rows
-    are taken in blocks of a fixed number of entries, one after another
-    on the calling thread, so the working set beyond the ``O(num_rows)``
-    outputs stays the same at any batch size, and each row's loss is the
-    same as over all rows at once. The per-row losses and their mean are
-    returned. Rows must be 2-d integer or real float, labels 1-d
-    integers, one per row, and ``origin`` 2-d integers, one ``(sample,
-    level)`` pair per row; anything else raises ``ShapeError``.
+    are taken in blocks of a fixed number of entries, and each thread
+    takes a run of whole blocks with scratch made before any thread
+    starts: the marks of a block, its gathered entries, and float64
+    values for at least a row, reduced together when full. The working
+    set beyond the ``O(num_rows)`` outputs therefore stays the same at
+    any batch size (it grows with the threads), and each row's loss is
+    the same as over all rows at once, at any thread count. The per-row
+    losses and their mean are returned. Rows must be 2-d integer or real
+    float, labels 1-d integers, one per row, and ``origin`` 2-d integers,
+    one ``(sample, level)`` pair per row; anything else raises
+    ``ShapeError``.
     """
     if flat.mask_value != NEG_INF:
         raise UnsupportedMaskValue(
@@ -401,52 +413,94 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
             f"{origin.shape} for {num_rows} rows"
         )
     # exp(-inf) is 0, so only the live entries count: each row's are one
-    # segment, never empty, as its label is live. Whole rows go in blocks
-    # of about _BLOCK_ENTRIES entries, so the marks, indices and float64
-    # values below stay that size at any batch. A block whose live entries
-    # are exactly its rows' level columns is gathered by those, each row's
-    # in the order a scan finds them, so both give the same segments. A
-    # level keeps its first row's columns while the columns kept total at
-    # most n, so they never outnumber a row's entries; a level without
-    # them, or whose block failed the check, is scanned.
-    columns = {}  # level: its live columns, or None once it is scanned
+    # segment, never empty, as its label is live. A level keeps its first
+    # row's live columns while the columns kept total at most n, so they
+    # never outnumber a row's entries. The first rows are scanned in runs
+    # of columns, one per thread; a run stops once it has found n columns,
+    # as by then no later first row can be kept.
+    level = origin[:, 1]
+    firsts = np.sort(np.unique(level, return_index=True)[1]).tolist()
+
+    def scan(lo, hi):
+        found, total = [], 0
+        for r in firsts:
+            if total >= n:
+                break
+            found.append(np.flatnonzero(rows[r, lo:hi] != NEG_INF))
+            found[-1] += lo
+            total += found[-1].size
+        return found
+
+    runs = _for_row_blocks(n, len(firsts), scan, per_thread=True)
+    columns = {}  # level: its first row's live columns, or None
     kept = 0
-    col_type = np.min_scalar_type(-n)  # the narrowest signed dtype for a column
-    lse = np.empty(num_rows)
+    for i, r in enumerate(firsts):
+        if kept >= n:
+            break
+        parts = [found[i] for found in runs]
+        cols = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        kept += cols.size
+        columns[int(level[r])] = cols if kept <= n else None
+    del runs, parts  # before the scratch is made
+    # Whole rows go in blocks of about _BLOCK_ENTRIES entries, and each
+    # thread takes a run of whole blocks with scratch made before any
+    # starts, so the working set is the same at any batch. A block whose
+    # live entries are exactly its rows' level columns is gathered by
+    # those, each row's in the order a scan finds them, so both give the
+    # same segments; other blocks are scanned. The segments collect in
+    # float64, in row order, until the scratch is full, then are reduced
+    # together.
     step = max(1, _BLOCK_ENTRIES // n)
-    for lo in range(0, num_rows, step):
-        block = rows[lo : lo + step]
-        live = block != NEG_INF
-        level = origin[lo : lo + step, 1]
-        levels = dict.fromkeys(level.tolist())
-        for u in levels:
-            if u not in columns and kept < n:  # its first row is in this block
-                cols = np.flatnonzero(live[np.argmax(level == u)]).astype(col_type)
-                kept += cols.size
-                columns[u] = cols if kept <= n else None
-        found = None
-        if all(columns.get(u) is not None for u in levels):
-            found = _gather_by_level(
-                block, live, level, {u: columns[u] for u in levels}
-            )
-            if found is None:  # these levels are scanned from now on
-                columns.update(levels)
-        if found is None:
-            idx = np.flatnonzero(live)
-            starts = np.searchsorted(idx, np.arange(block.shape[0]) * n)
-            found = np.ravel(block)[idx], starts, slice(None)
-            del idx
-        vals, starts, order = found
-        del live, found  # before the float64 work, to keep the peak low
-        vals = vals.astype(np.float64)
-        # Shift each segment by its max so exp never overflows. NaN or +inf
-        # in a live entry makes the row's loss non-finite, and the check
-        # below raises rather than numpy warning about inf - inf.
-        m = np.maximum.reduceat(vals, starts)
-        with np.errstate(invalid="ignore"):
-            vals -= np.repeat(m, np.diff(starts, append=vals.size))
-        sums = np.add.reduceat(np.exp(vals, out=vals), starts)
-        lse[lo : lo + step][order] = np.log(sums) + m
+    num_blocks = -(-num_rows // step)
+    per_block = min(step, num_rows)
+    most = per_block * max(c.size for c in columns.values() if c is not None)
+    size = max(n, most)  # any row, or any gathered block
+    spare = [
+        (np.empty((per_block, n), bool), np.empty(most, rows.dtype), np.empty(size))
+        for _ in range(min(_workers(), num_blocks))
+    ]
+    lse = np.empty(num_rows)
+
+    def run(first, last):
+        scratch = spare.pop()
+        marks, gathered, vals = scratch
+        done, at, lengths = first * step, 0, []  # rows reduced; the scratch's
+
+        def flush():
+            nonlocal done, at
+            lse[done : done + len(lengths)] = _log_sum_exp(vals[:at], lengths)
+            done, at = done + len(lengths), 0
+            lengths.clear()
+
+        def add(seg, seg_lengths):
+            nonlocal at
+            if at + seg.size > size:
+                flush()
+            vals[at : at + seg.size] = seg
+            at += seg.size
+            lengths.extend(seg_lengths)
+
+        try:
+            for lo in range(first * step, min(last * step, num_rows), step):
+                block = rows[lo : lo + step]
+                live = marks[: block.shape[0]]
+                np.not_equal(block, NEG_INF, out=live)
+                count = np.count_nonzero(live)
+                cols = [columns.get(u) for u in level[lo : lo + step].tolist()]
+                if all(c is not None for c in cols) and (
+                    _gather_by_level(block, count, cols, gathered) is not None
+                ):
+                    add(gathered[:count], [c.size for c in cols])
+                    continue
+                for row, keep in zip(block, live):
+                    seg = row[keep]
+                    add(seg, [seg.size])
+            if lengths:
+                flush()
+        finally:
+            spare.append(scratch)
+
+    _for_row_blocks(num_blocks, _BLOCK_ENTRIES, run, per_thread=True)
     per_row = lse - label_scores
     if not np.isfinite(per_row).all():
         i = int(np.argmax(~np.isfinite(per_row)))

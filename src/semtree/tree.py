@@ -150,8 +150,11 @@ class TreeEncoding:
     def __eq__(self, other):
         if not isinstance(other, TreeEncoding):
             return NotImplemented
-        return np.array_equal(self.masks, other.masks) and np.array_equal(
-            self.paths, other.paths
+        # Block by block, so only one block's comparison is held at a time.
+        return self.paths.shape == other.paths.shape and all(
+            np.array_equal(self.masks[:, cols], other.masks[:, cols])
+            and np.array_equal(self.paths[cols], other.paths[cols])
+            for cols in _blocks(self.num_classes, self.num_levels)
         )
 
     @functools.cached_property

@@ -73,12 +73,14 @@ class TestRunBench:
             run_bench(small_encoding, 10**12, 3)
 
     def test_memory_estimate_follows_the_blocked_loss(self, small_encoding, monkeypatch):
-        # The scores, the partitioned tensor, the flattened rows and one
-        # block of the loss (24 bytes an entry); no longer a third tensor's
-        # worth for the loss, which at batch 2000 is more than one block.
+        # The scores, the partitioned tensor, the flattened rows and the
+        # loss's scratch (13 bytes a block entry per thread, and a column
+        # index per class); no longer a third tensor's worth for the loss,
+        # which at batch 2000 is more than one block.
         batch, n, L = 2000, small_encoding.num_classes, small_encoding.num_levels
         scores, parts = bench.scores_bytes(batch, n), bench.partitioned_bytes(batch, L, n)
-        new = scores + 2 * parts + 24 * max(transforms._BLOCK_ENTRIES, n)
+        scratch = (13 * transforms._workers() + 8) * max(transforms._BLOCK_ENTRIES, n)
+        new = scores + 2 * parts + scratch
         old = scores + 3 * parts
         assert new < old
         monkeypatch.setattr(transforms, "_available_bytes", lambda: new - 1)

@@ -1,8 +1,10 @@
 """Row blocks on helper threads: the same results and errors at any thread count."""
 
 import concurrent.futures
+import dataclasses
 import functools
 import multiprocessing
+import sys
 import threading
 import time
 
@@ -13,6 +15,7 @@ import oracles
 from helpers import TOY_PARENTS, random_taxonomy
 from semtree import (
     CorruptEncoding,
+    InconsistentRow,
     LevelProbabilities,
     ParameterError,
     PartitionedScores,
@@ -20,6 +23,7 @@ from semtree import (
     SyntheticTreeSpec,
     Taxonomy,
     beam_decode,
+    cross_entropy,
     encode,
     flatten_for_training,
     generate_synthetic,
@@ -49,6 +53,7 @@ def run_all(enc, scores, labels):
     parts = partition_scores(enc, scores)
     nan_parts = partition_scores(enc, scores, mask_value=float("nan"))
     flat = flatten_for_training(parts, map_labels(enc, labels))
+    loss = cross_entropy(flat)
     probs = softmax_levels(parts)
     naive = naive_decode(probs)
     ints = PartitionedScores(
@@ -60,6 +65,8 @@ def run_all(enc, scores, labels):
         "flat-rows": flat.rows,
         "flat-labels": flat.labels,
         "flat-origin": flat.origin,
+        "loss-per-row": loss.per_row,
+        "loss-value": loss.value,
         "softmax": probs.data,
         "softmax-nan-masked": softmax_levels(nan_parts).data,
         "softmax-int": softmax_levels(ints).data,
@@ -179,6 +186,20 @@ def nan_probabilities(samples):
     return LevelProbabilities(data=data)
 
 
+def spoiled_flat(faults):
+    """Toy training rows of 12 samples with each (row, value) fault set in a
+    live entry other than the row's label."""
+    enc = encode(Taxonomy(parents=TOY_PARENTS))
+    rng = np.random.default_rng(75)
+    parts = partition_scores(enc, rng.standard_normal((12, 9)))
+    flat = flatten_for_training(parts, map_labels(enc, rng.integers(0, 9, size=12)))
+    rows = flat.rows.copy()
+    for i, value in faults:
+        live = np.flatnonzero(rows[i] != -np.inf)
+        rows[i, live[live != flat.labels[i]][0]] = value
+    return dataclasses.replace(flat, rows=rows)
+
+
 CASES = {
     "softmax-dead-last": (
         lambda: softmax_levels(spoiled_softmax([(11, 2, "dead")])),
@@ -204,6 +225,16 @@ CASES = {
         lambda: softmax_levels(spoiled_softmax([(2, 1, "dead"), (9, 0, "nan")])),
         CorruptEncoding,
         "sample 2, level 2: every class is masked out",
+    ),
+    "loss-nan-then-inf": (
+        lambda: cross_entropy(spoiled_flat([(5, np.nan), (21, np.inf)])),
+        InconsistentRow,
+        "row 5 produced a non-finite loss",
+    ),
+    "loss-inf-then-nan": (
+        lambda: cross_entropy(spoiled_flat([(21, np.nan), (9, np.inf)])),
+        InconsistentRow,
+        "row 9 produced a non-finite loss",
     ),
     "naive-last": (
         lambda: naive_decode(nan_probabilities([11])),
@@ -326,6 +357,44 @@ def test_no_helper_outlives_the_call(monkeypatch):
     caller = threading.current_thread()
     assert len(seen) > 1
     assert seen & set(threading.enumerate()) == {caller}
+
+
+def test_no_helper_outlives_a_loss_call(monkeypatch):
+    enc, scores, labels = inputs("10k")
+    flat = flatten_for_training(partition_scores(enc, scores), map_labels(enc, labels))
+    use(monkeypatch, 3, 64)
+    seen, blocks = [], transforms._for_row_blocks
+
+    def spy(num_rows, row_entries, fn, **kwargs):
+        def block(lo, hi):
+            seen.append(threading.current_thread())
+            time.sleep(0.001)  # long enough for the helpers to take blocks
+            return fn(lo, hi)
+
+        return blocks(num_rows, row_entries, block, **kwargs)
+
+    monkeypatch.setattr(transforms, "_for_row_blocks", spy)
+    want = oracles.cross_entropy_whole_matrix(flat.rows, flat.labels)
+    np.testing.assert_array_equal(cross_entropy(flat).per_row, want)
+    caller = threading.current_thread()
+    assert len(set(seen)) > 1
+    assert set(seen) & set(threading.enumerate()) == {caller}
+
+
+def test_loss_scratch_is_never_shared_under_forced_switches(monkeypatch):
+    # More threads than cores and a switch at almost every bytecode: a
+    # scratch taken by two runs of blocks at once would mix their rows.
+    enc, scores, labels = inputs("10k")
+    flat = flatten_for_training(partition_scores(enc, scores), map_labels(enc, labels))
+    want = oracles.cross_entropy_whole_matrix(flat.rows, flat.labels)
+    use(monkeypatch, 8, 3 * enc.num_classes)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            np.testing.assert_array_equal(cross_entropy(flat).per_row, want)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_concurrent_callers_each_get_their_own_helpers(monkeypatch):

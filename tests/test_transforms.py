@@ -592,6 +592,44 @@ class TestCrossEntropy:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 64 * 15 * small.num_rows
 
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_peak_stays_flat_at_every_thread_count(self, monkeypatch, threads):
+        # Each thread's scratch is made before any block runs, so the peak
+        # does not depend on how the threads' blocks overlap.
+        monkeypatch.setattr(transforms, "_workers", lambda: threads)
+        enc = encode(generate_synthetic(SyntheticTreeSpec(10_000, 8, seed=0)))
+        scores = np.random.default_rng(36).standard_normal(
+            (16, enc.num_classes), dtype=np.float32
+        )
+        small = _flat_from(enc, scores, np.full(16, int(np.argmax(enc.level_of))))
+        large = FlatTrainingSet(
+            rows=np.tile(small.rows, (16, 1)),
+            labels=np.tile(small.labels, 16),
+            origin=np.tile(small.origin, (16, 1)),
+        )
+        peaks = [_traced_peak(cross_entropy, flat) for flat in (small, large)]
+        assert peaks[1] - peaks[0] <= 64 * (large.num_rows - small.num_rows)
+
+    def test_c08_peak_is_two_threads_scratch(self, monkeypatch, full_scale_tree):
+        # Two threads' scratch (block marks, a gathered block, and float64
+        # values for a row's worth of entries) plus each level's columns:
+        # about 3.5 MB at 117,659 classes x 20 levels, batch 16.
+        monkeypatch.setattr(transforms, "_workers", lambda: 2)
+        enc = full_scale_tree["encoding"]
+        rng = np.random.default_rng(37)
+        scores = rng.standard_normal((16, enc.num_classes), dtype=np.float32)
+        flat = _flat_from(enc, scores, rng.integers(0, enc.num_classes, size=16))
+        assert _traced_peak(cross_entropy, flat) <= 4_500_000
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 def _flat_1k(batch, seed):
     """Pipeline rows of ``batch`` samples at 1,000 classes x 6 levels, whose

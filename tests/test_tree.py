@@ -64,6 +64,34 @@ class TestEncode:
     def test_deterministic(self, toy_taxonomy):
         assert st.encode(toy_taxonomy) == st.encode(toy_taxonomy)
 
+    def test_equality_holds_one_block_at_a_time(self, full_scale_tree):
+        # Whole-matrix comparisons held a (L, n) and an (n, L) temporary,
+        # 2.35 MB each at this scale.
+        enc = full_scale_tree["encoding"]
+        copy = st.TreeEncoding(masks=enc.masks.copy(), paths=enc.paths.copy())
+        tracemalloc.start()
+        try:
+            assert enc == copy
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_one_differing_entry_in_the_last_block_is_unequal(self, full_scale_tree):
+        enc = full_scale_tree["encoding"]
+        masks, paths = enc.masks.copy(), enc.paths.copy()
+        masks[-1, -1] = ~masks[-1, -1]
+        assert enc != st.TreeEncoding(masks=masks, paths=enc.paths)
+        paths[-1, -1] += 1
+        assert enc != st.TreeEncoding(masks=enc.masks, paths=paths)
+
+    def test_a_different_level_count_is_unequal(self, toy_encoding):
+        deeper = st.TreeEncoding(
+            masks=np.vstack((toy_encoding.masks, np.ones((1, 9), dtype=bool))),
+            paths=np.hstack((toy_encoding.paths, np.full((9, 1), st.PAD))),
+        )
+        assert toy_encoding != deeper and deeper != toy_encoding
+
     def test_single_class(self):
         enc = st.encode(st.Taxonomy(parents=np.array([-1])))
         assert enc.num_levels == 1
