@@ -326,14 +326,15 @@ def flatten_for_training(
     )
 
 
-def _gather_by_level(block, live, cols, out):
+def _gather_by_level(block, count, cols, out):
     """Each row of ``block`` gathered by its level's sorted columns (``cols``,
     one array per row) into the front of ``out``, row after row: the number
-    of entries, or None unless they are exactly the block's ``live`` ones.
+    of entries, or None unless they are exactly the block's ``count`` live
+    entries.
 
     Each row's entries come in column order, as a scan would find them.
     """
-    if sum(c.size for c in cols) != live:
+    if sum(c.size for c in cols) != count:
         return None
     at = 0
     for row, c in zip(block, cols):
@@ -462,7 +463,7 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     lse = np.empty(num_rows)
 
     def run(first, last):
-        scratch = spare.pop()
+        scratch = spare.pop()  # atomic: no two runs share a scratch
         marks, gathered, vals = scratch
         done, at, lengths = first * step, 0, []  # rows reduced; the scratch's
 
