@@ -14,10 +14,9 @@ import numpy as np
 
 from .errors import InsufficientMemory
 from .transforms import (
-    _BLOCK_ENTRIES,
     _check_count,
     _check_memory,
-    _workers,
+    _loss_scratch_bytes,
     cross_entropy,
     flatten_for_training,
     map_labels,
@@ -115,12 +114,11 @@ def run_bench(
     n, L = enc.num_classes, enc.num_levels
     # Peak is the loss: the partitioned tensor it reads, the flattened
     # rows (at most one per sample and level, so at most that tensor's
-    # size again) and the loss's scratch: for each thread a block's marks,
-    # its gathered float32 entries and float64 values, at most 13 bytes an
-    # entry, and an int64 column index per class.
-    scratch = (13 * _workers() + 8) * max(_BLOCK_ENTRIES, n)
+    # size again) and the loss's scratch for float32 rows.
     required = (
-        scores_bytes(batch_size, n) + 2 * partitioned_bytes(batch_size, L, n) + scratch
+        scores_bytes(batch_size, n)
+        + 2 * partitioned_bytes(batch_size, L, n)
+        + _loss_scratch_bytes(n, 4)
     )
     _check_memory("benchmark", required)
 

@@ -15,12 +15,15 @@ match their levels' columns is gathered by them, others are scanned.
 Every row is independent of the others, so ``partition_scores``,
 ``flatten_for_training``, ``cross_entropy`` and the softmax and decoders
 in ``inference`` run over blocks of whole rows, shared out among one
-thread per CPU the process may use. NumPy releases the interpreter lock
+thread per CPU the process may use (at most ``_LOSS_RUNS`` for the loss,
+whose threads each hold scratch). NumPy releases the interpreter lock
 inside its loops, and every block writes its own rows of one
 preallocated output, so results do not depend on the number of threads.
 """
 
+import contextlib
 import contextvars
+import itertools
 import numbers
 import os
 import threading
@@ -42,6 +45,10 @@ from .tree import _BLOCK_ENTRIES, PAD, TreeEncoding
 
 NEG_INF = float("-inf")
 
+# The loss runs at most this many runs of blocks at once, each over its
+# own scratch, so its working set does not grow with the CPU count.
+_LOSS_RUNS = 2
+
 
 def _workers() -> int:
     """Threads that run blocks: one per CPU this process may run on."""
@@ -51,10 +58,14 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _for_row_blocks(num_rows: int, row_entries: int, fn, *, per_thread=False):
+def _for_row_blocks(
+    num_rows: int, row_entries: int, fn, *, per_thread=False, threads=None
+):
     """``fn(lo, hi)`` over blocks of whole rows of ``range(num_rows)``; the
     results in row order.
 
+    The blocks run on ``threads`` threads, by default one per CPU this
+    process may run on, so at most that many calls of ``fn`` run at once.
     A block holds at most ``_BLOCK_ENTRIES // row_entries`` rows (at least
     one), or with ``per_thread`` at least a thread's share of the rows, for
     kernels whose cost per block is Python overhead rather than cache
@@ -67,7 +78,7 @@ def _for_row_blocks(num_rows: int, row_entries: int, fn, *, per_thread=False):
     carries NumPy's error state. Every block runs, then the exception of
     the first failing block, of any kind, is raised.
     """
-    threads = _workers()
+    threads = threads or _workers()
     size = max(1, _BLOCK_ENTRIES // max(1, row_entries))
     if per_thread:
         size = max(size, -(-num_rows // threads))
@@ -326,41 +337,100 @@ def flatten_for_training(
     )
 
 
-def _gather_by_level(block, count, cols, out):
-    """Each row of ``block`` gathered by its level's sorted columns (``cols``,
-    one array per row) into the front of ``out``, row after row: the number
-    of entries, or None unless they are exactly the block's ``count`` live
-    entries.
+@contextlib.contextmanager
+def _unbuffered():
+    """Inside, NumPy's ufuncs buffer at most 16 elements of an operand. By
+    default they fill up to 8192 for a broadcast operand whenever several
+    of its rows fit, up to 64 KB a call outside the loss's scratch, held
+    or not depending on how its threads overlap."""
+    old = np.setbufsize(16)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
-    Each row's entries come in column order, as a scan would find them.
+
+def _level_runs(slots, step):
+    """The rows of each block of ``step`` rows sorted by level, in runs of
+    rows of one level: ``(order, heads, run_slots, first)``. Run ``j`` is
+    the rows ``order[heads[j]:heads[j + 1]]``, ascending, of the level
+    whose slot (``slots`` gives each row's) is ``run_slots[j]``; block
+    ``i`` holds runs ``first[i]`` to ``first[i + 1] - 1``.
     """
-    if sum(c.size for c in cols) != count:
+    num_rows = slots.size
+    order = np.lexsort((slots, np.arange(num_rows) // step))
+    ranked = slots[order]
+    heads = np.ones(num_rows + 1, bool)  # a run starts at each place
+    np.not_equal(ranked[1:], ranked[:-1], out=heads[1:num_rows])
+    heads[::step] = True  # and at each block
+    heads = np.flatnonzero(heads)
+    starts = np.minimum(np.arange(-(-num_rows // step) + 1) * step, num_rows)
+    return order, heads, ranked[heads[:-1]], np.searchsorted(heads, starts)
+
+
+def _gather_by_level(block, lo, count, runs, idx, out):
+    """The entries of ``block``, the rows from ``lo`` on, at its rows' level
+    columns, gathered into the front of ``out`` a run at a time: how many,
+    or None unless they are exactly the block's ``count`` live entries.
+
+    ``runs`` holds each level's rows in the block, ascending, and its
+    sorted columns, or None; ``idx`` is scratch for flat indices. Each
+    row's entries come in column order, as a scan would find them.
+    """
+    if any(c is None for _, c in runs) or (
+        sum(r.size * c.size for r, c in runs) != count
+    ):
         return None
-    at = 0
-    for row, c in zip(block, cols):
-        # c holds valid columns, so "clip" only spares take a buffer.
-        row.take(c, out=out[at : at + c.size], mode="clip")
-        at += c.size
+    at, n = 0, block.shape[1]
+    for r, c in runs:
+        # Both hold valid indices, so "clip" only spares take a buffer. A
+        # level's one row is taken by its columns, several by flat indices.
+        span = slice(at, at + r.size * c.size)
+        if r.size == 1:
+            block[r[0] - lo].take(c, out=out[span], mode="clip")
+        else:
+            with _unbuffered():
+                np.add(((r - lo) * n)[:, None], c, out=idx[span].reshape(r.size, -1))
+            block.take(idx[span], out=out[span], mode="clip")
+        at = span.stop
     # As many entries as are live, none of them -inf: they are the live
     # ones. fmin passes over NaN, which would hide a -inf from min.
     return at if np.fmin.reduce(out[:at]) != NEG_INF else None
 
 
-def _log_sum_exp(vals, lengths):
+def _log_sum_exp(vals, runs):
     """The log of the summed exponentials of each segment of the float64
-    ``vals``, whose ``lengths`` are given in order; ``vals`` is overwritten.
+    ``vals``, which holds, in order, ``len(rows)`` segments of ``width``
+    entries for each ``(rows, width)`` of ``runs``; ``vals`` is overwritten.
 
     Each segment is shifted by its max so exp never overflows. NaN or +inf
     in a segment makes its result non-finite, without numpy warning about
     inf - inf.
     """
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
+    counts = [len(rows) for rows, _ in runs]
+    lengths = np.repeat([width for _, width in runs], counts)
+    starts = np.cumsum(lengths) - lengths
     m = np.maximum.reduceat(vals, starts)
-    with np.errstate(invalid="ignore"):
-        for lo, hi, top in zip(starts.tolist(), ends.tolist(), m):
-            vals[lo:hi] -= top
+    at = i = 0
+    with np.errstate(invalid="ignore"), _unbuffered():
+        for k, (_, width) in zip(counts, runs):
+            seg = vals[at : at + k * width]
+            if k == 1:
+                seg -= m[i]
+            else:
+                seg = seg.reshape(k, width)
+                seg -= m[i : i + k, None]
+            at, i = at + k * width, i + k
     return np.log(np.add.reduceat(np.exp(vals, out=vals), starts)) + m
+
+
+def _loss_scratch_bytes(n: int, itemsize: int) -> int:
+    """At most the bytes ``cross_entropy`` holds beyond its ``O(num_rows)``
+    outputs for rows of ``n`` entries of ``itemsize`` bytes: a column index
+    per class, and for each of at most ``_LOSS_RUNS`` runs of blocks its
+    block's marks and flat indices, the entries it gathers and the float64
+    values, each at most a block or a row."""
+    return (_LOSS_RUNS * (17 + itemsize) + 8) * max(_BLOCK_ENTRIES, n)
 
 
 def cross_entropy(flat: FlatTrainingSet) -> LossResult:
@@ -372,14 +442,15 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     then float64 work on those entries alone. Every row of one level that
     ``flatten_for_training`` makes has the same live columns, its level's
     classes, so each level's are found once, in its first row, and the
-    other rows are gathered by them wherever the marks confirm they are
-    exactly the live entries; elsewhere the marks are scanned. Whole rows
-    are taken in blocks of a fixed number of entries, and each thread
-    takes a run of whole blocks with scratch made before any thread
-    starts: the marks of a block, its gathered entries, and float64
-    values for at least a row, reduced together when full. The working
-    set beyond the ``O(num_rows)`` outputs therefore stays the same at
-    any batch size (it grows with the threads), and each row's loss is
+    other rows are gathered by them, a level of a block at a time,
+    wherever the marks confirm they are exactly the live entries;
+    elsewhere the marks are scanned row by row. Whole rows are taken in
+    blocks of a fixed number of entries, and at most ``_LOSS_RUNS``
+    threads each take a run of whole blocks with scratch made before any
+    thread starts: the marks of a block, its flat indices and gathered
+    entries, and float64 values for at least a row, reduced together when
+    full. The working set beyond the ``O(num_rows)`` outputs therefore
+    stays the same at any batch size and CPU count, and each row's loss is
     the same as over all rows at once, at any thread count. The per-row
     losses and their mean are returned. Rows must be 2-d integer or real
     float, labels 1-d integers, one per row, and ``origin`` 2-d integers,
@@ -415,93 +486,95 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
         )
     # exp(-inf) is 0, so only the live entries count: each row's are one
     # segment, never empty, as its label is live. A level keeps its first
-    # row's live columns while the columns kept total at most n, so they
-    # never outnumber a row's entries. The first rows are scanned in runs
-    # of columns, one per thread; a run stops once it has found n columns,
-    # as by then no later first row can be kept.
-    level = origin[:, 1]
-    firsts = np.sort(np.unique(level, return_index=True)[1]).tolist()
+    # row's live columns, the first rows taken in row order, while the
+    # columns kept total at most n, so they never outnumber a row's
+    # entries. The first rows are counted in order to find the levels that
+    # keep theirs, then those rows are scanned, a block of them a thread.
+    threads = min(_workers(), _LOSS_RUNS)
+    firsts, slots = np.unique(origin[:, 1], return_index=True, return_inverse=True)[1:]
+    levels, kept = [], 0  # the slots of the levels that keep their columns
+    for k in np.argsort(firsts).tolist():
+        kept += np.count_nonzero(rows[firsts[k]] != NEG_INF)
+        if kept > n:
+            break
+        levels.append(k)
 
     def scan(lo, hi):
-        found, total = [], 0
-        for r in firsts:
-            if total >= n:
-                break
-            found.append(np.flatnonzero(rows[r, lo:hi] != NEG_INF))
-            found[-1] += lo
-            total += found[-1].size
-        return found
+        return [np.flatnonzero(rows[firsts[k]] != NEG_INF) for k in levels[lo:hi]]
 
-    runs = _for_row_blocks(n, len(firsts), scan, per_thread=True)
-    columns = {}  # level: its first row's live columns, or None
-    kept = 0
-    for i, r in enumerate(firsts):
-        if kept >= n:
-            break
-        parts = [found[i] for found in runs]
-        cols = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        kept += cols.size
-        columns[int(level[r])] = cols if kept <= n else None
-    del runs, parts  # before the scratch is made
-    # Whole rows go in blocks of about _BLOCK_ENTRIES entries, and each
-    # thread takes a run of whole blocks with scratch made before any
-    # starts, so the working set is the same at any batch. A block whose
-    # live entries are exactly its rows' level columns is gathered by
-    # those, each row's in the order a scan finds them, so both give the
-    # same segments; other blocks are scanned. The segments collect in
-    # float64, in row order, until the scratch is full, then are reduced
-    # together.
+    found = _for_row_blocks(len(levels), n, scan, threads=threads)
+    columns = dict(zip(levels, itertools.chain.from_iterable(found)))
+    del firsts, found
+    # Whole rows go in blocks of about _BLOCK_ENTRIES entries, and each run
+    # of whole blocks has scratch made before any starts, so the working
+    # set is the same at any batch. A block whose live entries are exactly
+    # its rows' level columns is gathered by those, each row's in the order
+    # a scan finds them, so both give the same segments; other blocks are
+    # scanned. The segments collect in float64 until the scratch is full,
+    # then are reduced together.
     step = max(1, _BLOCK_ENTRIES // n)
     num_blocks = -(-num_rows // step)
+    order, heads, run_slots, first = _level_runs(slots, step)
+    del slots
     per_block = min(step, num_rows)
-    most = per_block * max(c.size for c in columns.values() if c is not None)
+    most = per_block * max(c.size for c in columns.values())
     size = max(n, most)  # any row, or any gathered block
+    threads = min(threads, num_blocks)
     spare = [
-        (np.empty((per_block, n), bool), np.empty(most, rows.dtype), np.empty(size))
-        for _ in range(min(_workers(), num_blocks))
+        (
+            np.empty((per_block, n), bool),
+            np.empty(most, np.intp),
+            np.empty(most, rows.dtype),
+            np.empty(size),
+        )
+        for _ in range(threads)
     ]
     lse = np.empty(num_rows)
 
-    def run(first, last):
+    def run(first_block, last_block):
         scratch = spare.pop()  # atomic: no two runs share a scratch
-        marks, gathered, vals = scratch
-        done, at, lengths = first * step, 0, []  # rows reduced; the scratch's
+        marks, idx, gathered, vals = scratch
+        at, held = 0, []  # values held, and their (rows, width) runs
 
         def flush():
-            nonlocal done, at
-            lse[done : done + len(lengths)] = _log_sum_exp(vals[:at], lengths)
-            done, at = done + len(lengths), 0
-            lengths.clear()
-
-        def add(seg, seg_lengths):
             nonlocal at
-            if at + seg.size > size:
+            lse[np.concatenate([r for r, _ in held])] = _log_sum_exp(vals[:at], held)
+            at = 0
+            held.clear()
+
+        def add(entries, runs):
+            nonlocal at
+            if at + entries.size > size:
                 flush()
-            vals[at : at + seg.size] = seg
-            at += seg.size
-            lengths.extend(seg_lengths)
+            vals[at : at + entries.size] = entries
+            at += entries.size
+            held.extend(runs)
 
         try:
-            for lo in range(first * step, min(last * step, num_rows), step):
+            for i in range(first_block, last_block):
+                lo = i * step
                 block = rows[lo : lo + step]
                 live = marks[: block.shape[0]]
                 np.not_equal(block, NEG_INF, out=live)
                 count = np.count_nonzero(live)
-                cols = [columns.get(u) for u in level[lo : lo + step].tolist()]
-                if all(c is not None for c in cols) and (
-                    _gather_by_level(block, count, cols, gathered) is not None
-                ):
-                    add(gathered[:count], [c.size for c in cols])
+                a, b = first[i : i + 2].tolist()
+                bounds = heads[a : b + 1].tolist()
+                runs = [
+                    (order[x:y], columns.get(k))
+                    for x, y, k in zip(bounds, bounds[1:], run_slots[a:b].tolist())
+                ]
+                if _gather_by_level(block, lo, count, runs, idx, gathered) is not None:
+                    add(gathered[:count], [(r, c.size) for r, c in runs])
                     continue
-                for row, keep in zip(block, live):
-                    seg = row[keep]
-                    add(seg, [seg.size])
-            if lengths:
+                for j, keep in enumerate(live):
+                    seg = block[j][keep]
+                    add(seg, [([lo + j], seg.size)])
+            if held:
                 flush()
         finally:
             spare.append(scratch)
 
-    _for_row_blocks(num_blocks, _BLOCK_ENTRIES, run, per_thread=True)
+    _for_row_blocks(num_blocks, _BLOCK_ENTRIES, run, per_thread=True, threads=threads)
     per_row = lse - label_scores
     if not np.isfinite(per_row).all():
         i = int(np.argmax(~np.isfinite(per_row)))

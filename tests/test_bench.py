@@ -74,13 +74,11 @@ class TestRunBench:
 
     def test_memory_estimate_follows_the_blocked_loss(self, small_encoding, monkeypatch):
         # The scores, the partitioned tensor, the flattened rows and the
-        # loss's scratch (13 bytes a block entry per thread, and a column
-        # index per class); no longer a third tensor's worth for the loss,
-        # which at batch 2000 is more than one block.
+        # loss's scratch; no longer a third tensor's worth for the loss,
+        # which at batch 2000 is more than its scratch.
         batch, n, L = 2000, small_encoding.num_classes, small_encoding.num_levels
         scores, parts = bench.scores_bytes(batch, n), bench.partitioned_bytes(batch, L, n)
-        scratch = (13 * transforms._workers() + 8) * max(transforms._BLOCK_ENTRIES, n)
-        new = scores + 2 * parts + scratch
+        new = scores + 2 * parts + transforms._loss_scratch_bytes(n, 4)
         old = scores + 3 * parts
         assert new < old
         monkeypatch.setattr(transforms, "_available_bytes", lambda: new - 1)

@@ -304,6 +304,27 @@ def test_every_block_runs_and_the_first_failure_is_raised(monkeypatch):
     assert transforms._for_row_blocks(30, 1, fn) == [0, 7, 15, 22]
 
 
+def test_a_thread_count_caps_the_blocks_in_flight(monkeypatch):
+    # The loss passes the number of scratch sets it made; more CPUs than
+    # that must not put more blocks in flight.
+    use(monkeypatch, 8, 10)
+    lock, now, most, seen = threading.Lock(), [0], [0], set()
+
+    def fn(lo, hi):
+        with lock:
+            now[0] += 1
+            most[0] = max(most[0], now[0])
+            seen.add(threading.current_thread())
+        time.sleep(0.002)  # long enough for the helpers to overlap
+        with lock:
+            now[0] -= 1
+        return lo
+
+    got = transforms._for_row_blocks(100, 1, fn, threads=2)
+    assert got == sorted(got) and got[0] == 0
+    assert most[0] <= 2 and len(seen) == 2
+
+
 @pytest.mark.skipif(
     int(np.__version__.split(".")[0]) < 2, reason="NumPy 1 keeps error state per thread"
 )

@@ -592,7 +592,7 @@ class TestCrossEntropy:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 64 * 15 * small.num_rows
 
-    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("threads", [1, 2, 4, 16])
     def test_peak_stays_flat_at_every_thread_count(self, monkeypatch, threads):
         # Each thread's scratch is made before any block runs, so the peak
         # does not depend on how the threads' blocks overlap.
@@ -610,11 +610,26 @@ class TestCrossEntropy:
         peaks = [_traced_peak(cross_entropy, flat) for flat in (small, large)]
         assert peaks[1] - peaks[0] <= 64 * (large.num_rows - small.num_rows)
 
-    def test_c08_peak_is_two_threads_scratch(self, monkeypatch, full_scale_tree):
-        # Two threads' scratch (block marks, a gathered block, and float64
-        # values for a row's worth of entries) plus each level's columns:
-        # about 3.5 MB at 117,659 classes x 20 levels, batch 16.
-        monkeypatch.setattr(transforms, "_workers", lambda: 2)
+    def test_peak_memory_below_rows_on_many_cores(self, monkeypatch):
+        # test_peak_memory_below_rows's set on 16 CPUs: the loss still holds
+        # scratch for at most _LOSS_RUNS runs of blocks, as its memory
+        # estimate says, not one per CPU.
+        monkeypatch.setattr(transforms, "_workers", lambda: 16)
+        enc = encode(generate_synthetic(SyntheticTreeSpec(10_000, 8, seed=0)))
+        rng = np.random.default_rng(26)
+        scores = rng.standard_normal((64, enc.num_classes), dtype=np.float32)
+        flat = _flat_from(enc, scores, rng.integers(0, enc.num_classes, size=64))
+        peak = _traced_peak(cross_entropy, flat)
+        assert peak < flat.rows.nbytes
+        scratch = transforms._loss_scratch_bytes(enc.num_classes, 4)
+        assert peak <= scratch + 64 * flat.num_rows
+
+    def test_c08_peak_holds_on_many_cores(self, monkeypatch, full_scale_tree):
+        # Two runs' scratch (block marks, flat indices and gathered entries
+        # of a block, and float64 values for a row's worth of entries) plus
+        # each level's columns: about 3.8 MB at 117,659 classes x 20 levels,
+        # batch 16, however many CPUs there are.
+        monkeypatch.setattr(transforms, "_workers", lambda: 16)
         enc = full_scale_tree["encoding"]
         rng = np.random.default_rng(37)
         scores = rng.standard_normal((16, enc.num_classes), dtype=np.float32)
