@@ -115,10 +115,11 @@ def run_bench(
     # Peak is the loss: the partitioned tensor it reads, the flattened
     # rows (at most one per sample and level, so at most that tensor's
     # size again) and the loss's scratch for float32 rows.
+    widest = int(np.bincount(enc.level_of).max())
     required = (
         scores_bytes(batch_size, n)
         + 2 * partitioned_bytes(batch_size, L, n)
-        + _loss_scratch_bytes(n, 4)
+        + _loss_scratch_bytes(n, widest, 4)
     )
     _check_memory("benchmark", required)
 

@@ -21,7 +21,6 @@ inside its loops, and every block writes its own rows of one
 preallocated output, so results do not depend on the number of threads.
 """
 
-import contextlib
 import contextvars
 import itertools
 import numbers
@@ -48,6 +47,10 @@ NEG_INF = float("-inf")
 # The loss runs at most this many runs of blocks at once, each over its
 # own scratch, so its working set does not grow with the CPU count.
 _LOSS_RUNS = 2
+
+# Rows of a level narrower than this many columns are gathered and shifted
+# a run of a block's rows at a time; wider rows are worth a call each.
+_NARROW = 1024
 
 
 def _workers() -> int:
@@ -337,19 +340,6 @@ def flatten_for_training(
     )
 
 
-@contextlib.contextmanager
-def _unbuffered():
-    """Inside, NumPy's ufuncs buffer at most 16 elements of an operand. By
-    default they fill up to 8192 for a broadcast operand whenever several
-    of its rows fit, up to 64 KB a call outside the loss's scratch, held
-    or not depending on how its threads overlap."""
-    old = np.setbufsize(16)
-    try:
-        yield
-    finally:
-        np.setbufsize(old)
-
-
 def _level_runs(slots, step):
     """The rows of each block of ``step`` rows sorted by level, in runs of
     rows of one level: ``(order, heads, run_slots, first)``. Run ``j`` is
@@ -365,72 +355,98 @@ def _level_runs(slots, step):
     heads[::step] = True  # and at each block
     heads = np.flatnonzero(heads)
     starts = np.minimum(np.arange(-(-num_rows // step) + 1) * step, num_rows)
-    return order, heads, ranked[heads[:-1]], np.searchsorted(heads, starts)
+    return order, heads, ranked[heads[:-1]], np.searchsorted(heads, starts).tolist()
 
 
-def _gather_by_level(block, lo, count, runs, idx, out):
+def _gather_by_level(block, lo, count, runs, idx, spread, out):
     """The entries of ``block``, the rows from ``lo`` on, at its rows' level
-    columns, gathered into the front of ``out`` a run at a time: how many,
-    or None unless they are exactly the block's ``count`` live entries.
+    columns, gathered into the front of ``out``: ``(rows, width)`` for each
+    run of rows whose entries follow one another, or None unless they are
+    exactly the block's ``count`` live entries.
 
     ``runs`` holds each level's rows in the block, ascending, and its
-    sorted columns, or None; ``idx`` is scratch for flat indices. Each
-    row's entries come in column order, as a scan would find them.
+    sorted columns, or None. The rows of a level narrower than ``_NARROW``
+    columns are taken together by flat indices, built in ``idx`` with
+    ``spread`` as scratch; wider rows, or a level's one row, are taken one
+    at a time. Each row's entries come in column order, as a scan would
+    find them.
     """
     if any(c is None for _, c in runs) or (
         sum(r.size * c.size for r, c in runs) != count
     ):
         return None
-    at, n = 0, block.shape[1]
+    at, n, found = 0, block.shape[1], []
     for r, c in runs:
-        # Both hold valid indices, so "clip" only spares take a buffer. A
-        # level's one row is taken by its columns, several by flat indices.
-        span = slice(at, at + r.size * c.size)
-        if r.size == 1:
-            block[r[0] - lo].take(c, out=out[span], mode="clip")
-        else:
-            with _unbuffered():
-                np.add(((r - lo) * n)[:, None], c, out=idx[span].reshape(r.size, -1))
+        # The indices are valid, so "clip" only spares take a buffer.
+        if r.size > 1 and c.size < _NARROW:
+            span = slice(at, at + r.size * c.size)
+            flat = idx[span].reshape(r.size, c.size)
+            offsets = spread.view(np.intp)[span].reshape(flat.shape)
+            np.copyto(flat, c)  # copyto broadcasts without a ufunc buffer
+            np.copyto(offsets, ((r - lo) * n)[:, None])
+            flat += offsets
             block.take(idx[span], out=out[span], mode="clip")
-        at = span.stop
+            found.append((r, c.size))
+            at = span.stop
+            continue
+        for i in r.tolist():
+            block[i - lo].take(c, out=out[at : at + c.size], mode="clip")
+            found.append(([i], c.size))
+            at += c.size
     # As many entries as are live, none of them -inf: they are the live
     # ones. fmin passes over NaN, which would hide a -inf from min.
-    return at if np.fmin.reduce(out[:at]) != NEG_INF else None
+    return found if np.fmin.reduce(out[:at]) != NEG_INF else None
 
 
-def _log_sum_exp(vals, runs):
+def _log_sum_exp(vals, runs, spread):
     """The log of the summed exponentials of each segment of the float64
     ``vals``, which holds, in order, ``len(rows)`` segments of ``width``
     entries for each ``(rows, width)`` of ``runs``; ``vals`` is overwritten.
 
-    Each segment is shifted by its max so exp never overflows. NaN or +inf
-    in a segment makes its result non-finite, without numpy warning about
-    inf - inf.
+    Each segment is shifted by its max so exp never overflows; a run of
+    several segments takes its maxima spread over its entries in
+    ``spread``. NaN or +inf in a segment makes its result non-finite,
+    without numpy warning about inf - inf.
     """
     counts = [len(rows) for rows, _ in runs]
-    lengths = np.repeat([width for _, width in runs], counts)
+    widths = [width for _, width in runs]
+    lengths = np.repeat(widths, counts)
     starts = np.cumsum(lengths) - lengths
     m = np.maximum.reduceat(vals, starts)
     at = i = 0
-    with np.errstate(invalid="ignore"), _unbuffered():
-        for k, (_, width) in zip(counts, runs):
+    with np.errstate(invalid="ignore"):
+        for k, width in zip(counts, widths):
             seg = vals[at : at + k * width]
             if k == 1:
                 seg -= m[i]
             else:
-                seg = seg.reshape(k, width)
-                seg -= m[i : i + k, None]
+                tops = spread[: k * width]
+                np.copyto(tops.reshape(k, width), m[i : i + k, None])
+                seg -= tops
             at, i = at + k * width, i + k
     return np.log(np.add.reduceat(np.exp(vals, out=vals), starts)) + m
 
 
-def _loss_scratch_bytes(n: int, itemsize: int) -> int:
+def _run_scratch(rows_per_block: int, n: int, widest: int):
+    """Entries of the buffers that each run of the loss's blocks holds
+    besides a block's marks, for rows of ``n`` entries whose widest level
+    has ``widest`` columns: ``(narrow, most, size)``, the flat indices of a
+    run of narrow rows (and as many float64 offsets or maxima), a gathered
+    block, and float64 values for any row or gathered block."""
+    most = rows_per_block * widest
+    return rows_per_block * min(widest, _NARROW - 1), most, max(n, most)
+
+
+def _loss_scratch_bytes(n: int, widest: int, itemsize: int) -> int:
     """At most the bytes ``cross_entropy`` holds beyond its ``O(num_rows)``
-    outputs for rows of ``n`` entries of ``itemsize`` bytes: a column index
-    per class, and for each of at most ``_LOSS_RUNS`` runs of blocks its
-    block's marks and flat indices, the entries it gathers and the float64
-    values, each at most a block or a row."""
-    return (_LOSS_RUNS * (17 + itemsize) + 8) * max(_BLOCK_ENTRIES, n)
+    outputs for rows of ``n`` entries of ``itemsize`` bytes whose widest
+    level has ``widest`` columns: a column index per class, and for each of
+    at most ``_LOSS_RUNS`` runs of blocks a block's marks and its run's
+    scratch."""
+    per_block = max(1, _BLOCK_ENTRIES // n)
+    narrow, most, size = _run_scratch(per_block, n, widest)
+    run = per_block * n + 16 * narrow + itemsize * most + 8 * size
+    return 8 * n + _LOSS_RUNS * run
 
 
 def cross_entropy(flat: FlatTrainingSet) -> LossResult:
@@ -442,14 +458,15 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     then float64 work on those entries alone. Every row of one level that
     ``flatten_for_training`` makes has the same live columns, its level's
     classes, so each level's are found once, in its first row, and the
-    other rows are gathered by them, a level of a block at a time,
-    wherever the marks confirm they are exactly the live entries;
-    elsewhere the marks are scanned row by row. Whole rows are taken in
-    blocks of a fixed number of entries, and at most ``_LOSS_RUNS``
-    threads each take a run of whole blocks with scratch made before any
-    thread starts: the marks of a block, its flat indices and gathered
-    entries, and float64 values for at least a row, reduced together when
-    full. The working set beyond the ``O(num_rows)`` outputs therefore
+    other rows are gathered by them wherever the marks confirm they are
+    exactly the live entries (a block's rows of a narrow level together,
+    wider rows one at a time); elsewhere the marks are scanned row by row.
+    Whole rows are taken in blocks of a fixed number of entries, and at
+    most ``_LOSS_RUNS`` threads each take a run of whole blocks with
+    scratch made before any thread starts: the marks of a block, flat
+    indices for its narrow rows, its gathered entries, and float64 values
+    for at least a row, reduced together when full. The working set
+    beyond the ``O(num_rows)`` outputs therefore
     stays the same at any batch size and CPU count, and each row's loss is
     the same as over all rows at once, at any thread count. The per-row
     losses and their mean are returned. Rows must be 2-d integer or real
@@ -517,13 +534,14 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     order, heads, run_slots, first = _level_runs(slots, step)
     del slots
     per_block = min(step, num_rows)
-    most = per_block * max(c.size for c in columns.values())
-    size = max(n, most)  # any row, or any gathered block
+    widest = max(c.size for c in columns.values())
+    narrow, most, size = _run_scratch(per_block, n, widest)
     threads = min(threads, num_blocks)
     spare = [
         (
             np.empty((per_block, n), bool),
-            np.empty(most, np.intp),
+            np.empty(narrow, np.intp),
+            np.empty(narrow),
             np.empty(most, rows.dtype),
             np.empty(size),
         )
@@ -533,12 +551,13 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
 
     def run(first_block, last_block):
         scratch = spare.pop()  # atomic: no two runs share a scratch
-        marks, idx, gathered, vals = scratch
+        marks, idx, spread, gathered, vals = scratch
         at, held = 0, []  # values held, and their (rows, width) runs
 
         def flush():
             nonlocal at
-            lse[np.concatenate([r for r, _ in held])] = _log_sum_exp(vals[:at], held)
+            rows_held = np.concatenate([r for r, _ in held])
+            lse[rows_held] = _log_sum_exp(vals[:at], held, spread)
             at = 0
             held.clear()
 
@@ -557,14 +576,15 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
                 live = marks[: block.shape[0]]
                 np.not_equal(block, NEG_INF, out=live)
                 count = np.count_nonzero(live)
-                a, b = first[i : i + 2].tolist()
+                a, b = first[i], first[i + 1]
                 bounds = heads[a : b + 1].tolist()
                 runs = [
                     (order[x:y], columns.get(k))
                     for x, y, k in zip(bounds, bounds[1:], run_slots[a:b].tolist())
                 ]
-                if _gather_by_level(block, lo, count, runs, idx, gathered) is not None:
-                    add(gathered[:count], [(r, c.size) for r, c in runs])
+                found = _gather_by_level(block, lo, count, runs, idx, spread, gathered)
+                if found is not None:
+                    add(gathered[:count], found)
                     continue
                 for j, keep in enumerate(live):
                     seg = block[j][keep]

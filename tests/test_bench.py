@@ -78,7 +78,8 @@ class TestRunBench:
         # which at batch 2000 is more than its scratch.
         batch, n, L = 2000, small_encoding.num_classes, small_encoding.num_levels
         scores, parts = bench.scores_bytes(batch, n), bench.partitioned_bytes(batch, L, n)
-        new = scores + 2 * parts + transforms._loss_scratch_bytes(n, 4)
+        widest = int(np.bincount(small_encoding.level_of).max())
+        new = scores + 2 * parts + transforms._loss_scratch_bytes(n, widest, 4)
         old = scores + 3 * parts
         assert new < old
         monkeypatch.setattr(transforms, "_available_bytes", lambda: new - 1)
