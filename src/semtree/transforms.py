@@ -379,15 +379,15 @@ def _gather_by_level(block, lo, count, runs, idx, spread, out):
     for r, c in runs:
         # The indices are valid, so "clip" only spares take a buffer.
         if r.size > 1 and c.size < _NARROW:
-            span = slice(at, at + r.size * c.size)
-            flat = idx[span].reshape(r.size, c.size)
-            offsets = spread.view(np.intp)[span].reshape(flat.shape)
+            entries = r.size * c.size
+            flat = idx[:entries].reshape(r.size, c.size)
+            offsets = spread.view(np.intp)[:entries].reshape(flat.shape)
             np.copyto(flat, c)  # copyto broadcasts without a ufunc buffer
             np.copyto(offsets, ((r - lo) * n)[:, None])
             flat += offsets
-            block.take(idx[span], out=out[span], mode="clip")
+            block.take(idx[:entries], out=out[at : at + entries], mode="clip")
             found.append((r, c.size))
-            at = span.stop
+            at += entries
             continue
         for i in r.tolist():
             block[i - lo].take(c, out=out[at : at + c.size], mode="clip")

@@ -19,6 +19,7 @@ from semtree import (
     PathLabels,
     ShapeError,
     SyntheticTreeSpec,
+    Taxonomy,
     UnsupportedMaskValue,
     cross_entropy,
     display_ids,
@@ -492,6 +493,23 @@ class TestCrossEntropy:
             flat = _flat_from(enc, scores, labels)
             want = oracles.cross_entropy_whole_matrix(flat.rows, flat.labels)
             np.testing.assert_array_equal(cross_entropy(flat).per_row, want)
+
+    def test_narrow_rows_after_wide_ones_in_a_block(self, monkeypatch):
+        # 1,500 roots (one wide level) and 40 children (a narrow one): a
+        # block's rows of the narrow level are gathered together after
+        # its wide rows were taken one at a time.
+        parents = np.concatenate((np.full(1_500, -1), np.arange(40)))
+        enc = encode(Taxonomy(parents=parents))
+        rng = np.random.default_rng(38)
+        labels = rng.integers(0, 1_500, size=256)
+        labels[::4] = rng.integers(1_500, 1_540, size=64)
+        scores = rng.standard_normal((256, enc.num_classes), dtype=np.float32)
+        flat = _flat_from(enc, scores, labels)
+        gathered = _count_gathers(monkeypatch)
+        result = cross_entropy(flat).per_row
+        assert gathered and all(gathered)
+        want = oracles.cross_entropy_whole_matrix(flat.rows, flat.labels)
+        np.testing.assert_array_equal(result, want)
 
     def test_toy_and_10k_rows_are_gathered(self, monkeypatch, toy_encoding):
         rng = np.random.default_rng(30)
