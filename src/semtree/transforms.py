@@ -519,9 +519,9 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     def scan(lo, hi):
         return [np.flatnonzero(rows[firsts[k]] != NEG_INF) for k in levels[lo:hi]]
 
-    found = _for_row_blocks(len(levels), n, scan, threads=threads)
-    columns = dict(zip(levels, itertools.chain.from_iterable(found)))
-    del firsts, found
+    scanned = _for_row_blocks(len(levels), n, scan, threads=threads)
+    columns = dict(zip(levels, itertools.chain.from_iterable(scanned)))
+    del firsts, scanned
     # Whole rows go in blocks of about _BLOCK_ENTRIES entries, and each run
     # of whole blocks has scratch made before any starts, so the working
     # set is the same at any batch. A block whose live entries are exactly
