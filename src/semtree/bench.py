@@ -114,12 +114,12 @@ def run_bench(
     n, L = enc.num_classes, enc.num_levels
     # Peak is the loss: the partitioned tensor it reads, the flattened
     # rows (at most one per sample and level, so at most that tensor's
-    # size again) and the loss's scratch for float32 rows.
+    # size again) and the loss's scratch.
     widest = int(np.bincount(enc.level_of).max())
     required = (
         scores_bytes(batch_size, n)
         + 2 * partitioned_bytes(batch_size, L, n)
-        + _loss_scratch_bytes(n, widest, 4)
+        + _loss_scratch_bytes(n, widest)
     )
     _check_memory("benchmark", required)
 

@@ -10,7 +10,8 @@ without the mask value ever poisoning the arithmetic: its cost is one
 pass that marks the entries that are not ``-inf`` plus work on those
 entries alone. It reads each row's level from ``origin`` and finds a
 level's live columns once, in its first row; a block of rows whose marks
-match their levels' columns is gathered by them, others are scanned.
+match their levels' columns is gathered by them a row at a time, others
+are scanned.
 
 Every row is independent of the others, so ``partition_scores``,
 ``flatten_for_training``, ``cross_entropy`` and the softmax and decoders
@@ -47,11 +48,6 @@ NEG_INF = float("-inf")
 # The loss runs at most this many runs of blocks at once, each over its
 # own scratch, so its working set does not grow with the CPU count.
 _LOSS_RUNS = 2
-
-# Rows of a level narrower than this many columns are gathered and shifted
-# a run of a block's rows at a time; wider rows are worth a call each.
-_NARROW = 1024
-
 
 def _workers() -> int:
     """Threads that run blocks: one per CPU this process may run on."""
@@ -340,113 +336,50 @@ def flatten_for_training(
     )
 
 
-def _level_runs(slots, step):
-    """The rows of each block of ``step`` rows sorted by level, in runs of
-    rows of one level: ``(order, heads, run_slots, first)``. Run ``j`` is
-    the rows ``order[heads[j]:heads[j + 1]]``, ascending, of the level
-    whose slot (``slots`` gives each row's) is ``run_slots[j]``; block
-    ``i`` holds runs ``first[i]`` to ``first[i + 1] - 1``.
+def _gather_by_level(block, cols, count, out):
+    """The entries of each row of ``block`` at its level's columns, the
+    sorted ``cols`` of that row or None, gathered in row order into the
+    front of the float64 ``out``: each row's entry count, or None unless
+    they are exactly the block's ``count`` live entries. Each row's entries
+    come in column order, as a scan would find them.
     """
-    num_rows = slots.size
-    order = np.lexsort((slots, np.arange(num_rows) // step))
-    ranked = slots[order]
-    heads = np.ones(num_rows + 1, bool)  # a run starts at each place
-    np.not_equal(ranked[1:], ranked[:-1], out=heads[1:num_rows])
-    heads[::step] = True  # and at each block
-    heads = np.flatnonzero(heads)
-    starts = np.minimum(np.arange(-(-num_rows // step) + 1) * step, num_rows)
-    return order, heads, ranked[heads[:-1]], np.searchsorted(heads, starts).tolist()
-
-
-def _gather_by_level(block, lo, count, runs, idx, spread, out):
-    """The entries of ``block``, the rows from ``lo`` on, at its rows' level
-    columns, gathered into the front of ``out``: ``(rows, width)`` for each
-    run of rows whose entries follow one another, or None unless they are
-    exactly the block's ``count`` live entries.
-
-    ``runs`` holds each level's rows in the block, ascending, and its
-    sorted columns, or None. The rows of a level narrower than ``_NARROW``
-    columns are taken together by flat indices, built in ``idx`` with
-    ``spread`` as scratch; wider rows, or a level's one row, are taken one
-    at a time. Each row's entries come in column order, as a scan would
-    find them.
-    """
-    if any(c is None for _, c in runs) or (
-        sum(r.size * c.size for r, c in runs) != count
-    ):
+    if any(c is None for c in cols) or sum(c.size for c in cols) != count:
         return None
-    at, n, found = 0, block.shape[1], []
-    for r, c in runs:
-        # The indices are valid, so "clip" only spares take a buffer.
-        if r.size > 1 and c.size < _NARROW:
-            entries = r.size * c.size
-            flat = idx[:entries].reshape(r.size, c.size)
-            offsets = spread.view(np.intp)[:entries].reshape(flat.shape)
-            np.copyto(flat, c)  # copyto broadcasts without a ufunc buffer
-            np.copyto(offsets, ((r - lo) * n)[:, None])
-            flat += offsets
-            block.take(idx[:entries], out=out[at : at + entries], mode="clip")
-            found.append((r, c.size))
-            at += entries
-            continue
-        for i in r.tolist():
-            block[i - lo].take(c, out=out[at : at + c.size], mode="clip")
-            found.append(([i], c.size))
-            at += c.size
+    at = 0
+    for row, c in zip(block, cols):
+        out[at : at + c.size] = row.take(c)
+        at += c.size
     # As many entries as are live, none of them -inf: they are the live
     # ones. fmin passes over NaN, which would hide a -inf from min.
-    return found if np.fmin.reduce(out[:at]) != NEG_INF else None
+    return [c.size for c in cols] if np.fmin.reduce(out[:at]) != NEG_INF else None
 
 
-def _log_sum_exp(vals, runs, spread):
+def _log_sum_exp(vals, counts):
     """The log of the summed exponentials of each segment of the float64
-    ``vals``, which holds, in order, ``len(rows)`` segments of ``width``
-    entries for each ``(rows, width)`` of ``runs``; ``vals`` is overwritten.
+    ``vals``, which holds, in order, segments of ``counts`` entries;
+    ``vals`` is overwritten.
 
-    Each segment is shifted by its max so exp never overflows; a run of
-    several segments takes its maxima spread over its entries in
-    ``spread``. NaN or +inf in a segment makes its result non-finite,
-    without numpy warning about inf - inf.
+    Each segment is shifted by its max so exp never overflows. NaN or +inf
+    in a segment makes its result non-finite, without numpy warning about
+    inf - inf.
     """
-    counts = [len(rows) for rows, _ in runs]
-    widths = [width for _, width in runs]
-    lengths = np.repeat(widths, counts)
-    starts = np.cumsum(lengths) - lengths
+    ends = np.cumsum(counts)
+    starts = ends - counts
     m = np.maximum.reduceat(vals, starts)
-    at = i = 0
     with np.errstate(invalid="ignore"):
-        for k, width in zip(counts, widths):
-            seg = vals[at : at + k * width]
-            if k == 1:
-                seg -= m[i]
-            else:
-                tops = spread[: k * width]
-                np.copyto(tops.reshape(k, width), m[i : i + k, None])
-                seg -= tops
-            at, i = at + k * width, i + k
+        for lo, hi, top in zip(starts.tolist(), ends.tolist(), m):
+            vals[lo:hi] -= top
     return np.log(np.add.reduceat(np.exp(vals, out=vals), starts)) + m
 
 
-def _run_scratch(rows_per_block: int, n: int, widest: int):
-    """Entries of the buffers that each run of the loss's blocks holds
-    besides a block's marks, for rows of ``n`` entries whose widest level
-    has ``widest`` columns: ``(narrow, most, size)``, the flat indices of a
-    run of narrow rows (and as many float64 offsets or maxima), a gathered
-    block, and float64 values for any row or gathered block."""
-    most = rows_per_block * widest
-    return rows_per_block * min(widest, _NARROW - 1), most, max(n, most)
-
-
-def _loss_scratch_bytes(n: int, widest: int, itemsize: int) -> int:
+def _loss_scratch_bytes(n: int, widest: int) -> int:
     """At most the bytes ``cross_entropy`` holds beyond its ``O(num_rows)``
-    outputs for rows of ``n`` entries of ``itemsize`` bytes whose widest
-    level has ``widest`` columns: a column index per class, and for each of
-    at most ``_LOSS_RUNS`` runs of blocks a block's marks and its run's
-    scratch."""
+    outputs for rows of ``n`` entries whose widest level has ``widest``
+    columns: a column index per class, and for each of at most
+    ``_LOSS_RUNS`` runs of blocks a block's marks and float64 values for a
+    row or a gathered block."""
     per_block = max(1, _BLOCK_ENTRIES // n)
-    narrow, most, size = _run_scratch(per_block, n, widest)
-    run = per_block * n + 16 * narrow + itemsize * most + 8 * size
-    return 8 * n + _LOSS_RUNS * run
+    return 8 * n + _LOSS_RUNS * (per_block * n + 8 * max(n, per_block * widest))
 
 
 def cross_entropy(flat: FlatTrainingSet) -> LossResult:
@@ -458,18 +391,17 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     then float64 work on those entries alone. Every row of one level that
     ``flatten_for_training`` makes has the same live columns, its level's
     classes, so each level's are found once, in its first row, and the
-    other rows are gathered by them wherever the marks confirm they are
-    exactly the live entries (a block's rows of a narrow level together,
-    wider rows one at a time); elsewhere the marks are scanned row by row.
-    Whole rows are taken in blocks of a fixed number of entries, and at
-    most ``_LOSS_RUNS`` threads each take a run of whole blocks with
-    scratch made before any thread starts: the marks of a block, flat
-    indices for its narrow rows, its gathered entries, and float64 values
-    for at least a row, reduced together when full. The working set
-    beyond the ``O(num_rows)`` outputs therefore
-    stays the same at any batch size and CPU count, and each row's loss is
-    the same as over all rows at once, at any thread count. The per-row
-    losses and their mean are returned. Rows must be 2-d integer or real
+    other rows are gathered by them, a row at a time, wherever the marks
+    confirm they are exactly the live entries; elsewhere the marks are
+    scanned row by row. Whole rows are taken in blocks of a fixed number of
+    entries, and at most ``_LOSS_RUNS`` threads each take a run of whole
+    blocks with scratch made before any thread starts: the marks of a
+    block, and float64 values for a row or a gathered block, which hold
+    rows' entries in row order until the next would not fit and are then
+    reduced together. The working set beyond the ``O(num_rows)`` outputs
+    therefore stays the same at any batch size and CPU count, and each
+    row's loss is the same as over all rows at once, at any thread count.
+    The per-row losses and their mean are returned. Rows must be 2-d integer or real
     float, labels 1-d integers, one per row, and ``origin`` 2-d integers,
     one ``(sample, level)`` pair per row; anything else raises
     ``ShapeError``.
@@ -527,47 +459,26 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     # set is the same at any batch. A block whose live entries are exactly
     # its rows' level columns is gathered by those, each row's in the order
     # a scan finds them, so both give the same segments; other blocks are
-    # scanned. The segments collect in float64 until the scratch is full,
-    # then are reduced together.
+    # scanned. The segments collect in float64, in row order, until the
+    # next would not fit, then are reduced together.
     step = max(1, _BLOCK_ENTRIES // n)
     num_blocks = -(-num_rows // step)
-    order, heads, run_slots, first = _level_runs(slots, step)
-    del slots
     per_block = min(step, num_rows)
-    widest = max(c.size for c in columns.values())
-    narrow, most, size = _run_scratch(per_block, n, widest)
+    size = max(n, per_block * max(c.size for c in columns.values()))
     threads = min(threads, num_blocks)
-    spare = [
-        (
-            np.empty((per_block, n), bool),
-            np.empty(narrow, np.intp),
-            np.empty(narrow),
-            np.empty(most, rows.dtype),
-            np.empty(size),
-        )
-        for _ in range(threads)
-    ]
+    spare = [(np.empty((per_block, n), bool), np.empty(size)) for _ in range(threads)]
     lse = np.empty(num_rows)
 
     def run(first_block, last_block):
         scratch = spare.pop()  # atomic: no two runs share a scratch
-        marks, idx, spread, gathered, vals = scratch
-        at, held = 0, []  # values held, and their (rows, width) runs
+        marks, vals = scratch
+        at, counts, start = 0, [], first_block * step  # held from row start on
 
         def flush():
-            nonlocal at
-            rows_held = np.concatenate([r for r, _ in held])
-            lse[rows_held] = _log_sum_exp(vals[:at], held, spread)
-            at = 0
-            held.clear()
-
-        def add(entries, runs):
-            nonlocal at
-            if at + entries.size > size:
-                flush()
-            vals[at : at + entries.size] = entries
-            at += entries.size
-            held.extend(runs)
+            nonlocal at, start
+            lse[start : start + len(counts)] = _log_sum_exp(vals[:at], counts)
+            at, start = 0, start + len(counts)
+            counts.clear()
 
         try:
             for i in range(first_block, last_block):
@@ -576,20 +487,22 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
                 live = marks[: block.shape[0]]
                 np.not_equal(block, NEG_INF, out=live)
                 count = np.count_nonzero(live)
-                a, b = first[i], first[i + 1]
-                bounds = heads[a : b + 1].tolist()
-                runs = [
-                    (order[x:y], columns.get(k))
-                    for x, y, k in zip(bounds, bounds[1:], run_slots[a:b].tolist())
-                ]
-                found = _gather_by_level(block, lo, count, runs, idx, spread, gathered)
+                if at and at + count > size:
+                    flush()
+                cols = [columns.get(k) for k in slots[lo : lo + step].tolist()]
+                found = _gather_by_level(block, cols, count, vals[at:])
                 if found is not None:
-                    add(gathered[:count], found)
+                    counts.extend(found)
+                    at += count
                     continue
-                for j, keep in enumerate(live):
-                    seg = block[j][keep]
-                    add(seg, [([lo + j], seg.size)])
-            if held:
+                for row, keep in zip(block, live):
+                    seg = row[keep]
+                    if at + seg.size > size:
+                        flush()
+                    vals[at : at + seg.size] = seg
+                    at += seg.size
+                    counts.append(seg.size)
+            if counts:
                 flush()
         finally:
             spare.append(scratch)

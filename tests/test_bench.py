@@ -79,7 +79,7 @@ class TestRunBench:
         batch, n, L = 2000, small_encoding.num_classes, small_encoding.num_levels
         scores, parts = bench.scores_bytes(batch, n), bench.partitioned_bytes(batch, L, n)
         widest = int(np.bincount(small_encoding.level_of).max())
-        new = scores + 2 * parts + transforms._loss_scratch_bytes(n, widest, 4)
+        new = scores + 2 * parts + transforms._loss_scratch_bytes(n, widest)
         old = scores + 3 * parts
         assert new < old
         monkeypatch.setattr(transforms, "_available_bytes", lambda: new - 1)

@@ -496,8 +496,8 @@ class TestCrossEntropy:
 
     def test_narrow_rows_after_wide_ones_in_a_block(self, monkeypatch):
         # 1,500 roots (one wide level) and 40 children (a narrow one): a
-        # block's rows of the narrow level are gathered together after
-        # its wide rows were taken one at a time.
+        # block holds rows of both levels, each gathered by its own
+        # level's columns, and every block is gathered.
         parents = np.concatenate((np.full(1_500, -1), np.arange(40)))
         enc = encode(Taxonomy(parents=parents))
         rng = np.random.default_rng(38)
@@ -644,7 +644,7 @@ class TestCrossEntropy:
         assert peaks[16] < flat.rows.nbytes
         assert peaks[16] <= peaks[2] + 16_000
         widest = int(np.bincount(enc.level_of).max())
-        scratch = transforms._loss_scratch_bytes(enc.num_classes, widest, 4)
+        scratch = transforms._loss_scratch_bytes(enc.num_classes, widest)
         assert peaks[16] <= scratch + 64 * flat.num_rows + 64_000
 
     def test_c08_peak_holds_on_many_cores(self, monkeypatch, full_scale_tree):
