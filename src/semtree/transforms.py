@@ -49,6 +49,7 @@ NEG_INF = float("-inf")
 # own scratch, so its working set does not grow with the CPU count.
 _LOSS_RUNS = 2
 
+
 def _workers() -> int:
     """Threads that run blocks: one per CPU this process may run on."""
     try:
