@@ -402,10 +402,10 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     reduced together. The working set beyond the ``O(num_rows)`` outputs
     therefore stays the same at any batch size and CPU count, and each
     row's loss is the same as over all rows at once, at any thread count.
-    The per-row losses and their mean are returned. Rows must be 2-d integer or real
-    float, labels 1-d integers, one per row, and ``origin`` 2-d integers,
-    one ``(sample, level)`` pair per row; anything else raises
-    ``ShapeError``.
+    The per-row losses and their mean are returned. Rows must be 2-d
+    integer or real float, labels 1-d integers, one per row, and
+    ``origin`` 2-d integers, one ``(sample, level)`` pair per row; anything
+    else raises ``ShapeError``.
     """
     if flat.mask_value != NEG_INF:
         raise UnsupportedMaskValue(
@@ -473,7 +473,7 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     def run(first_block, last_block):
         scratch = spare.pop()  # atomic: no two runs share a scratch
         marks, vals = scratch
-        at, counts, start = 0, [], first_block * step  # held from row start on
+        at, counts, start = 0, [], first_block * step  # held: rows from start on
 
         def flush():
             nonlocal at, start
@@ -488,7 +488,7 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
                 live = marks[: block.shape[0]]
                 np.not_equal(block, NEG_INF, out=live)
                 count = np.count_nonzero(live)
-                if at and at + count > size:
+                if at and at + count > size:  # a gathered block fits an empty buffer
                     flush()
                 cols = [columns.get(k) for k in slots[lo : lo + step].tolist()]
                 found = _gather_by_level(block, cols, count, vals[at:])
