@@ -18,6 +18,7 @@ extension) for small batches; the binary formats have no size cap.
 """
 
 import contextlib
+import functools
 import io
 import math
 import os
@@ -149,10 +150,21 @@ def _outside(a: np.ndarray, name: str, low: int, high: Optional[int], pad: bool)
             bad &= run != PAD
         return bad
 
-    # The two reductions need no temporaries; marks are made only on a
-    # miss, which a PAD always causes, and one run at a time.
-    if a.size == 0 or (a.min() >= low and (high is None or a.max() <= high)):
+    # The two reductions need no temporaries, and marks are made one run
+    # at a time. Within PAD..high, only an entry between PAD and low can
+    # be outside: none can when low is PAD + 1 (ids on write), so the scan
+    # is skipped, and on read (low 1) it marks only the zeros.
+    if a.size == 0:
         return None
+    if high is None or a.max() <= high:
+        lowest = a.min()
+        if lowest >= low:
+            return None
+        if pad and lowest >= PAD:
+            if low <= PAD + 1:
+                return None
+            if low == PAD + 2:
+                flag = functools.partial(np.equal, PAD + 1)
     if (at := _first(a, flag)) is None:
         return None
     valid = f"{low}..{'' if high is None else high}"

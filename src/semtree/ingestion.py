@@ -133,7 +133,7 @@ def _records(source):
         del lines
         ends = np.cumsum(sizes + 1) - 1  # where each element's separator sits
 
-    space = _SPACE[codes]
+    space = _SPACE.take(codes)
     bounds = np.diff(space.view(np.int8), prepend=np.int8(1), append=np.int8(1))
     starts, stops = np.flatnonzero(bounds == -1), np.flatnonzero(bounds == 1)
     del bounds
@@ -225,12 +225,16 @@ def parse_edge_list(
     parents[child[declared] - 1] = keys - 1  # a root's key 0 becomes NO_PARENT
     class_depths(parents)  # raises CyclicTaxonomy on a loop
     moved = np.flatnonzero(repeat)
+    dropped = (key[moved] - 1).tolist()
+    # A dropped parent of _BIG or more has a code, not its id: reread it.
+    for i in np.flatnonzero(key[moved] >= _BIG).tolist():
+        dropped[i] = int(words(int(moved[i]), 2)[1]) - 1
     resolutions = map(
         MultiParentResolution._make,
         zip(
             (child[moved] - 1).tolist(),
             (key[first_of[moved]] - 1).tolist(),
-            (key[moved] - 1).tolist(),
+            dropped,
         ),
     )
     return ParsedTaxonomy(

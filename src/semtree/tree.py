@@ -181,8 +181,7 @@ class TreeEncoding:
         and the constructor ignore it; its arrays are read-only.
         """
         n = self.num_classes
-        order = np.argsort(self.level_of, kind="stable")
-        starts = np.searchsorted(self.level_of[order], np.arange(self.num_levels + 1))
+        order, starts = _level_order(self.level_of, self.num_levels)
         # One extra slot maps NO_PARENT (-1) to column -1.
         col = np.full(n + 1, -1, dtype=np.intp)
         col[order] = np.arange(n)
@@ -218,20 +217,24 @@ class ValidationReport:
 def class_depths(parents: np.ndarray) -> np.ndarray:
     """Depth of every class (roots are depth 0), as int32.
 
-    Pointer jumping over a root sentinel (Hillis & Steele, CACM 1986):
-    ``n.bit_length()`` rounds of two length-n gathers. A class that never
-    reaches the sentinel lies on or below a cycle, and ``CyclicTaxonomy``
-    names the first class that the walk up from the smallest one repeats.
-    Parents that are not a 1-d integer array, or a parent that is not a
-    class id, raise ``ParameterError``.
+    Pointer jumping over a root sentinel (Hillis & Steele, CACM 1986): at
+    most ``n.bit_length()`` rounds of two length-n gathers, stopping once
+    a round would move no pointer. A class that never reaches the sentinel
+    lies on or below a cycle, and ``CyclicTaxonomy`` names the first class
+    that the walk up from the smallest one repeats. Parents that are not a
+    1-d integer array, or a parent that is not a class id, raise
+    ``ParameterError``.
     """
     parents = _check_parent_ids(parents)
     n = parents.size
     up = np.append(np.where(parents == NO_PARENT, n, parents), n).astype(np.intp)
     depth = (up != n).astype(np.int32)
     for _ in range(n.bit_length()):
+        jumped = up[up]
+        if np.array_equal(jumped, up):
+            break
         depth += depth[up]
-        up = up[up]
+        up = jumped
     stuck = np.flatnonzero(up[:n] != n)
     if stuck.size:
         seen, node = set(), int(stuck[0])
@@ -240,6 +243,19 @@ def class_depths(parents: np.ndarray) -> np.ndarray:
             node = int(parents[node])
         raise CyclicTaxonomy(f"cycle through class {node + 1}")
     return depth[:n]
+
+
+def _level_order(level: np.ndarray, num_levels: int):
+    """The classes in order of level, each level in class order, and where
+    each level starts in that order (``num_levels + 1`` entries).
+
+    The stable sort runs on levels cast to the smallest type that holds
+    them, for which numpy sorts by radix.
+    """
+    order = np.argsort(level.astype(np.min_scalar_type(num_levels)), kind="stable")
+    starts = np.zeros(num_levels + 1, dtype=np.intp)
+    np.cumsum(np.bincount(level, minlength=num_levels), out=starts[1:])
+    return order, starts
 
 
 def encode(taxonomy: Taxonomy) -> TreeEncoding:
@@ -252,18 +268,25 @@ def encode(taxonomy: Taxonomy) -> TreeEncoding:
     n = parents.size
     depth = class_depths(parents)
     num_levels = int(depth.max()) + 1
+    order, starts = _level_order(depth, num_levels)
+    col = np.empty(n, dtype=np.intp)  # each class's column in ``order``
+    col[order] = np.arange(n)
 
-    masks = np.ones((num_levels, n), dtype=bool)
-    masks[depth, np.arange(n)] = False
-
-    # Each class's path row is its parent's row plus itself, so fill rows
-    # in order of increasing depth and copy whole groups at a time.
-    paths = np.full((n, num_levels), PAD, dtype=np.int32)
+    masks = np.arange(num_levels, dtype=depth.dtype)[:, None] != depth
+    # Each class's path row is its parent's row plus itself. Levels go in
+    # order, each taking its rows from the level before, and every row is
+    # written once, as one item of a row-sized void type.
+    paths = np.empty((n, num_levels), dtype=np.int32)
+    row = np.dtype((np.void, paths.itemsize * num_levels))
+    whole_rows = paths.view(row).reshape(n)
     for d in range(num_levels):
-        group = np.nonzero(depth == d)[0]
-        if d > 0:
-            paths[group] = paths[parents[group]]
-        paths[group, d] = group
+        group = order[starts[d] : starts[d + 1]]
+        if d == 0:
+            rows = np.full((group.size, num_levels), PAD, dtype=np.int32)
+        else:
+            rows = np.take(rows, col[parents[group]] - starts[d - 1], axis=0)
+        rows[:, d] = group
+        whole_rows[group] = rows.view(row).reshape(-1)
 
     return TreeEncoding(masks=masks, paths=paths)
 

@@ -94,6 +94,15 @@ class TestEncodingFiles:
             tracemalloc.stop()
         assert peak <= 1.2 * p.stat().st_size
 
+    def test_an_in_range_padded_write_makes_no_marks(self, enc, tmp_path):
+        # Ids within PAD..n - 1 are all valid on write: min and max suffice.
+        assert (enc.paths == -1).any()
+        labels = PathLabels(data=np.array([[0, 2, -1], [1, 4, 8]]))
+        with mock.patch.object(fileio, "_first", side_effect=AssertionError):
+            fileio.write_encoding(enc, tmp_path / "tree.enc")
+            fileio.write_path_labels(labels, tmp_path / "labels.bin")
+        assert fileio.read_encoding(tmp_path / "tree.enc") == enc
+
     @pytest.mark.parametrize("entry", [9, -2])
     def test_path_entry_out_of_range_rejected_on_write(self, enc, tmp_path, entry):
         # Written as 1-based 10 (or -1, read back as padding) once.

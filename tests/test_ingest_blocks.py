@@ -56,8 +56,9 @@ def _scores_with_two_faults():
     return scores
 
 
-def _encoding_file_with_two_faults(path):
-    """An encoding file whose path rows 31 and 38 hold the id 99 of no class."""
+def _encoding_file_with_two_faults(path, value=99):
+    """An encoding file whose path rows 31 and 38 start with ``value``, the
+    1-based id of no class."""
     enc = st.encode(st.generate_synthetic(st.SyntheticTreeSpec(40, 4)))
     fileio.write_encoding(enc, path)
     data = bytearray(path.read_bytes())
@@ -65,7 +66,7 @@ def _encoding_file_with_two_faults(path):
     n, L = enc.num_classes, enc.num_levels
     for row in (30, 37):
         at = header + n * L + 4 * row * L
-        data[at : at + 4] = (99).to_bytes(4, "little")
+        data[at : at + 4] = value.to_bytes(4, "little")
     path.write_bytes(bytes(data))
 
 
@@ -102,6 +103,11 @@ FAULTS = {
         ),
     ),
     "encoding-read": (_encoding_file_with_two_faults, fileio.read_encoding),
+    # Every entry lies in PAD..n, so the read marks only the zeros.
+    "encoding-read-zero": (
+        lambda p: _encoding_file_with_two_faults(p, 0),
+        fileio.read_encoding,
+    ),
     "labels-read": (_labels_file_with_two_faults, fileio.read_labels),
 }
 
@@ -137,6 +143,10 @@ def test_named_faults_are_the_first_ones(tmp_path):
     assert "entry -1e+300 at position 10, 5 is beyond" in messages["scores-float32"]
     assert "at position 10, 2, 2 is beyond" in messages["partitioned-float32"]
     assert "1-based path entry 99 at position 31, 1" in messages["encoding-read"]
+    assert (
+        "1-based path entry 0 at position 31, 1 is not in 1..40 or -1"
+        in messages["encoding-read-zero"]
+    )
     assert "1-based label 0 at position 71 " in messages["labels-read"]
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import oracles
@@ -213,6 +213,10 @@ def _outcome(parse, source, policy):
     return parents.dtype, parents.tolist(), parsed.resolutions
 
 
+# A dropped parent of 2**62 or more, whose id the arrays hold as a code.
+_HUGE_DROPPED = ["2 1", "1", "2 9999999999999999999", "3 1"]
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     lines=edge_lists(),
@@ -221,6 +225,8 @@ def _outcome(parse, source, policy):
     merge=hs.integers(-1, 9),
     last_end=hs.booleans(),
 )
+@example(lines=_HUGE_DROPPED, ends=["\n"], as_file=True, merge=-1, last_end=True)
+@example(lines=_HUGE_DROPPED, ends=["\n"], as_file=False, merge=-1, last_end=False)
 def test_parse_fuzz_matches_the_line_loop(lines, ends, as_file, merge, last_end):
     if as_file:
         text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))

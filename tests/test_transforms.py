@@ -648,10 +648,10 @@ class TestCrossEntropy:
         assert peaks[16] <= scratch + 64 * flat.num_rows + 64_000
 
     def test_c08_peak_holds_on_many_cores(self, monkeypatch, full_scale_tree):
-        # Two runs' scratch (a block's marks and gathered entries, and
-        # float64 values for a row's worth of entries) plus each level's
-        # columns: about 3.6 MB at 117,659 classes x 20 levels, batch 16,
-        # however many CPUs there are.
+        # Two runs' scratch (a block's marks, and float64 values for a
+        # row's worth of entries) plus a column index per class: about
+        # 3.4 MB at 117,659 classes x 20 levels, batch 16, however many
+        # CPUs there are.
         monkeypatch.setattr(transforms, "_workers", lambda: 16)
         enc = full_scale_tree["encoding"]
         rng = np.random.default_rng(37)

@@ -85,6 +85,20 @@ class TestEncode:
         paths[-1, -1] += 1
         assert enc != st.TreeEncoding(masks=enc.masks, paths=paths)
 
+    def test_peak_at_c08_holds_two_levels_of_rows(self, full_scale_tree):
+        # Besides the two matrices (11.8 MB), encode holds the depths, the
+        # level order and the rows of two levels: 15.9 MB. A level-ordered
+        # copy of the whole path matrix, then permuted, peaked at 24.5 MB.
+        taxonomy = full_scale_tree["taxonomy"]
+        tracemalloc.start()
+        try:
+            enc = st.encode(taxonomy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert enc == full_scale_tree["encoding"]
+        assert peak <= 17_000_000
+
     def test_a_different_level_count_is_unequal(self, toy_encoding):
         deeper = st.TreeEncoding(
             masks=np.vstack((toy_encoding.masks, np.ones((1, 9), dtype=bool))),
@@ -176,6 +190,29 @@ class TestClassDepths:
         # error names the first class the walk visits twice.
         with pytest.raises(st.CyclicTaxonomy, match=rf"^cycle through class {named}$"):
             st.class_depths(np.array(parents, dtype=np.int32))
+
+    @pytest.mark.parametrize("length", [2, 4, 8, 3, 5])
+    def test_cycles_with_tails_name_the_first_repeat(self, length):
+        # On a cycle of 2, 4 or 8 classes the pointers settle after a few
+        # rounds; on one of 3 or 5 they move until the round bound. Tails
+        # of classes hang below the cycle, next to a rooted tree, and ids
+        # are shuffled so that the walk may start on a tail.
+        rng = np.random.default_rng(length)
+        tree_size, n = 12, length + 60
+        parents = np.empty(n, dtype=np.int32)
+        parents[:tree_size] = [-1] + [rng.integers(c) for c in range(1, tree_size)]
+        cycle = np.arange(tree_size, tree_size + length)
+        parents[cycle] = np.roll(cycle, -1)
+        parents[tree_size + length :] = [
+            rng.integers(tree_size, c) for c in range(tree_size + length, n)
+        ]
+        perm = rng.permutation(n)
+        shuffled = np.full(n, -1, dtype=np.int32)
+        has = parents >= 0
+        shuffled[perm[has]] = perm[parents[has]]
+        named = oracles.cycle_named(shuffled)
+        with pytest.raises(st.CyclicTaxonomy, match=rf"^cycle through class {named + 1}$"):
+            st.class_depths(shuffled)
 
     def test_rejects_parent_below_no_parent(self):
         # -3 would index from the end and give depths [0, 1, 2].
