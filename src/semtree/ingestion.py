@@ -5,6 +5,11 @@ line with a single id declares a root, a line with ``child parent``
 declares an edge, ``#`` starts a comment. Ids must be contiguous from 1
 so they can double as array indices.
 
+``parse_edge_list`` cuts its text into blocks of whole lines, about
+``tree._BLOCK_ENTRIES`` characters each, and reads them on one thread
+per CPU, so the per-character and per-token arrays exist for one block
+per thread; the records of all blocks are then joined and matched.
+
 ``generate_synthetic`` builds trees of a requested size and depth for
 benchmarks: a spine guarantees one class per level, every other class
 attaches below it, with every eligible parent equally likely.
@@ -19,6 +24,7 @@ from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
+from . import transforms, tree
 from .errors import (
     DanglingEdge,
     EdgeListError,
@@ -43,17 +49,15 @@ class ParsedTaxonomy(NamedTuple):
     resolutions: tuple[MultiParentResolution, ...]
 
 
-# The ASCII characters str.split() splits on; other whitespace is turned
-# into spaces before the text becomes an array of character codes.
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = True
+# Non-ASCII whitespace, turned into spaces before the text becomes an
+# array of character codes.
 _NON_ASCII_SPACE = re.compile(r"[^\S\x00-\x7f]")
 # int() values at or above _BIG get codes above it that keep their order;
 # every id of at most _MAX_DIGITS digits lies below it.
 _BIG = 1 << 62
 _MAX_DIGITS = 18
 # A token as the arrays find one: ``\s`` is what _NON_ASCII_SPACE and
-# _SPACE call whitespace.
+# _read_block call whitespace.
 _TOKEN = re.compile(r"\S+")
 
 
@@ -66,88 +70,166 @@ def _char_codes(text: str) -> np.ndarray:
 
 
 def _token_values(text, codes, space, starts, stops):
-    """Each token's id as an order-keeping int64 code, and which parsed.
+    """Each token's id as an int64 code, which parsed, and the ids of
+    ``_BIG`` and above as (token, id) pairs.
 
-    Tokens of at most ``_MAX_DIGITS`` ASCII digits are read by Horner's
-    rule, one array step per digit position. The rest go through
+    Each token's last ``_MAX_DIGITS`` characters are read as digits by
+    Horner's rule, one array step per digit position. Tokens that are
+    longer or hold a character other than an ASCII digit then go through
     ``int()`` one by one, so they are accepted or refused exactly as
-    ``int()`` does; values of ``_BIG`` and above are replaced by
-    ``_BIG`` plus their rank, values below 1 by at most 0.
+    ``int()`` does; values below 1 become at most 0 and those of ``_BIG``
+    and above ``_BIG``, until the caller ranks them.
     """
     digits = codes - np.uint8(ord("0"))
+    first = np.maximum(starts, stops - _MAX_DIGITS)
+    values = np.zeros(starts.size, dtype=np.int64)
+    pos = np.empty_like(stops)
+    for back in range(int((stops - first).max(initial=0)), 0, -1):
+        np.subtract(stops, back, out=pos)
+        values *= 10
+        values += np.where(pos >= first, digits.take(pos, mode="clip"), 0)
     odd = np.flatnonzero(~space & (digits > 9))
     plain = (stops - starts) <= _MAX_DIGITS
     plain[np.searchsorted(starts, odd, side="right") - 1] = False
-    values = np.zeros(starts.size, dtype=np.int64)
     ok = np.ones(starts.size, dtype=bool)
-    s, e = starts[plain], stops[plain]
-    v = values[plain]
-    pos = np.empty_like(e)
-    for back in range(int((e - s).max(initial=0)), 0, -1):
-        np.subtract(e, back, out=pos)
-        v *= 10
-        v += np.where(pos >= s, digits.take(pos, mode="clip"), 0)
-    values[plain] = v
-    big_at, bigs = [], []
+    bigs = []
     for i in np.flatnonzero(~plain).tolist():
         try:
             value = int(text[starts[i] : stops[i]])
         except ValueError:
-            ok[i] = False
-            continue
+            ok[i], value = False, 0
         if value >= _BIG:
-            big_at.append(i)
-            bigs.append(value)
-        else:
-            values[i] = max(value, -1)
-    if bigs:
-        rank = np.unique(np.array(bigs, dtype=object), return_inverse=True)[1]
-        values[big_at] = _BIG + rank
-    return values, ok
+            bigs.append((i, value))
+        values[i] = min(max(value, -1), _BIG)
+    return values, ok, bigs
 
 
-def _records(source):
-    """An edge list's text, comments cut, and per non-blank line (a record)
-    its 0-based line number, the offset of its first token in the text, its
-    token count, the value codes of its first two tokens (the second 0 for
-    a bare id), and whether either of those two is not an id of at least 1.
+def _read_block(text, ends):
+    """The records of one block of whole lines, ``text`` with its comments
+    cut and ``ends`` where its line separators sit (None: at its newlines).
 
-    The per-character and per-token arrays stay in here, so they are freed
-    before the caller works on the records.
+    Per non-blank line (a record): its line within the block, the offset
+    of its first token, its token count, the value codes of its first two
+    tokens (the second 0 for a bare id), and whether either of those two
+    is not an id of at least 1. Then the block's line separator count and
+    its ids of ``_BIG`` and above as (record, 0 for the child or 1 for
+    the parent, id).
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as f:
-            text = f.read()
-        if "#" in text:
-            text = re.sub(r"#[^\n]*", "", text)
-        codes = _char_codes(text)
+    codes = _char_codes(text)
+    # The ASCII characters str.split() splits on: \t to \r, \x1c to space.
+    space = (codes - np.uint8(9) <= 4) | (codes - np.uint8(28) <= 4)
+    if ends is None:
         ends = np.flatnonzero(codes == ord("\n"))
-    else:
-        lines = list(source)
-        text = "\n".join(lines)
-        if "#" in text:  # a comment runs to the end of its element
-            lines = [line.partition("#")[0] for line in lines]
-            text = "\n".join(lines)
-        codes = _char_codes(text)
-        sizes = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
-        del lines
-        ends = np.cumsum(sizes + 1) - 1  # where each element's separator sits
-
-    space = _SPACE.take(codes)
     bounds = np.diff(space.view(np.int8), prepend=np.int8(1), append=np.int8(1))
-    starts, stops = np.flatnonzero(bounds == -1), np.flatnonzero(bounds == 1)
+    starts = np.flatnonzero(bounds == -1).astype(np.int32)
+    stops = np.flatnonzero(bounds == 1).astype(np.int32)
     del bounds
-    values, ok = _token_values(text, codes, space, starts, stops)
+    values, ok, bigs = _token_values(text, codes, space, starts, stops)
     del codes, space, stops
-    token_line = np.searchsorted(ends, starts)
+    token_line = np.searchsorted(ends, starts).astype(np.int32)
     head = np.flatnonzero(np.diff(token_line, prepend=-1))
-    fields = np.diff(head, append=starts.size)
+    fields = np.diff(head, append=starts.size).astype(np.int32)
     second = np.minimum(head + 1, starts.size - 1)  # in bounds for a last bare id
     bad = ~ok | (values < 1)
     paired = fields >= 2
     key = np.where(paired, values[second], 0)
     faulty = bad[head] | (paired & bad[second])
-    return text, token_line[head], starts[head], fields, values[head], key, faulty
+    huge = []
+    for i, value in bigs:  # a third token or later only ever faults its line
+        r = int(np.searchsorted(head, i, side="right")) - 1
+        if i - head[r] < 2:
+            huge.append((r, int(i - head[r]), value))
+    records = [token_line[head], starts[head], fields, values[head], key, faulty]
+    return records, ends.size, huge
+
+
+def _block_length(total):
+    """The length of the blocks that cut ``total`` characters into blocks of
+    at most about ``tree._BLOCK_ENTRIES``: equal ones, as many as a multiple
+    of the threads once there is more than one."""
+    count = -(-total // tree._BLOCK_ENTRIES)
+    if count > 1:
+        threads = transforms._workers()
+        count = -(-count // threads) * threads
+    return max(1, -(-total // max(1, count)))
+
+
+def _records(source):
+    """The records of an edge list, as ``_read_block`` gives them but with
+    line numbers from the start of the source and the ids of ``_BIG`` and
+    above ranked over the whole source, and ``words(r, count)``, the first
+    ``count`` tokens of record r.
+
+    A file's text is cut into blocks after a newline, an iterable after an
+    element, each block at least ``_block_length`` characters but the
+    last. ``transforms._for_row_blocks`` reads one block a call, and the
+    blocks' records are joined one field at a time.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as f:
+            text = f.read()
+        size = _block_length(len(text))
+        cuts = [0]
+        while 0 < (end := text.find("\n", cuts[-1] + size - 1) + 1) < len(text):
+            cuts.append(end)
+        cuts.append(len(text))
+
+        def block(lo, hi):
+            part = text[cuts[lo] : cuts[hi]]
+            if "#" in part:
+                part = re.sub(r"#[^\n]*", "", part)
+            return part, None
+
+    else:
+        lines = list(source)
+        offset = np.zeros(len(lines) + 1, dtype=np.int64)  # where each element starts
+        np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1, out=offset[1:])
+        size = _block_length(int(offset[-1]))
+        cuts = [0]
+        while (end := int(np.searchsorted(offset, offset[cuts[-1]] + size))) < len(lines):
+            cuts.append(end)
+        cuts.append(len(lines))
+        del offset
+
+        def block(lo, hi):
+            part = lines[cuts[lo] : cuts[hi]]
+            text = "\n".join(part)
+            if "#" in text:  # a comment runs to the end of its element
+                part = [line.partition("#")[0] for line in part]
+                text = "\n".join(part)
+            sizes = np.fromiter(map(len, part), dtype=np.intp, count=len(part))
+            return text, np.cumsum(sizes + 1) - 1  # where each separator sits
+
+    # Each row of _for_row_blocks is one block of text, so a call reads one.
+    spans, blocks, line_counts, bigs = zip(
+        *transforms._for_row_blocks(
+            len(cuts) - 1,
+            transforms._BLOCK_ENTRIES,
+            lambda lo, hi: ((lo, hi), *_read_block(*block(lo, hi))),
+        )
+    )
+    first = np.cumsum([0] + [b[0].size for b in blocks])  # each block's first record
+    joined = []
+    for i in range(6):  # a field at a time, so no record is held twice
+        joined.append(np.concatenate([b[i] for b in blocks]))
+        for b in blocks:
+            b[i] = None
+    line, start, fields, child, key, faulty = joined
+    for lo, hi, before in zip(first[:-1], first[1:], np.cumsum([0, *line_counts])):
+        line[lo:hi] += before
+    # Codes that keep the order of the ids of _BIG and above, over all blocks.
+    big = sorted({value for huge in bigs for *_, value in huge})
+    code = {value: _BIG + i for i, value in enumerate(big)}
+    for lo, huge in zip(first.tolist(), bigs):
+        for r, i, value in huge:
+            (child, key)[i][lo + r] = code[value]
+
+    def words(r, count):
+        k = int(np.searchsorted(first, r, side="right")) - 1
+        found = _TOKEN.finditer(block(*spans[k])[0], int(start[r]))
+        return [m.group() for m in itertools.islice(found, count)]
+
+    return line, fields, child, key, faulty, words
 
 
 def parse_edge_list(
@@ -163,29 +245,37 @@ def parse_edge_list(
 
     A file is read once, as UTF-8 text with universal newlines; an
     iterable gives one line per element, even when an element holds a
-    newline. Comments are cut from the text before the array passes
-    over its character codes: token bounds, their lines, their values
-    and every fault, with Python only for tokens ``int()`` must judge
-    (signs, underscores, non-ASCII digits, more than 18 digits). An
-    error on a line names the earliest faulty line, 1-based, with the
-    fault a line-by-line reading would meet first there; then come an
-    empty list, an undeclared parent and a gap in the ids, in that
-    order.
+    newline. The text is read in blocks of whole lines on one thread per
+    CPU: comments are cut from a block before array passes over its
+    character codes find its token bounds, their lines, their values and
+    every fault, with Python only for tokens ``int()`` must judge (signs,
+    underscores, non-ASCII digits, more than 18 digits). The records of
+    the blocks are then matched by child id, through a table of the ids
+    unless one exceeds the number of records. An error on a line names
+    the earliest faulty line, 1-based, with the fault a line-by-line
+    reading would meet first there; then come an empty list, an
+    undeclared parent and a gap in the ids, in that order.
     """
     if policy not in ("first", "reject"):
         raise ParameterError(f"unknown multi-parent policy {policy!r}")
-    text, line, start, fields, child, key, faulty = _records(source)
+    line, fields, child, key, faulty, words = _records(source)
 
-    def words(r, count):  # the first ``count`` tokens of record r
-        found = _TOKEN.finditer(text, int(start[r]))
-        return [m.group() for m in itertools.islice(found, count)]
-
-    ids, group = np.unique(child, return_inverse=True)
-    first = np.full(ids.size, child.size)
-    np.minimum.at(first, group, np.arange(child.size))
-    first_of = first[group]  # the record that first declared each child
-    repeat = first_of != np.arange(child.size)
-    duplicate = repeat & (key == key[first_of])
+    m = child.size
+    if m and child.max() > m:  # a gap in the ids: only a sort can match them
+        ids, slot = np.unique(child, return_inverse=True)
+    else:  # the ids index a table; faulty records' codes -1 and 0 share slot 0
+        ids, slot = None, np.maximum(child, 0)
+    count = np.bincount(slot)
+    shared = np.flatnonzero(count[slot] > 1)  # records whose child others share
+    first_of = np.arange(m)  # the record that first declared each child
+    if shared.size:
+        _, at, back = np.unique(slot[shared], return_index=True, return_inverse=True)
+        first_of[shared] = shared[at][back]
+    moved = shared[first_of[shared] != shared]  # the records that repeat a child
+    repeat = np.zeros(m, dtype=bool)
+    repeat[moved] = True
+    duplicate = np.zeros(m, dtype=bool)
+    duplicate[moved] = key[moved] == key[first_of[moved]]
     fault = (fields > 2) | faulty | duplicate
     if policy == "reject":
         fault |= repeat
@@ -201,13 +291,18 @@ def parse_edge_list(
             bool(duplicate[r]),
         )
 
-    if not child.size:
+    if not m:
         raise EdgeListError("edge list declares no classes")
-    declared = np.flatnonzero(~repeat)
+    declared = ~repeat
     keys = key[declared]
-    dangling = (keys > 0) & ~np.isin(keys, ids)
+    if ids is None:  # a key past the table is no id
+        known = np.append(count, 0).take(keys, mode="clip") > 0
+        ids = np.flatnonzero(count)
+    else:
+        known = np.isin(keys, ids)
+    dangling = (keys > 0) & ~known
     if dangling.any():
-        r = declared[np.argmax(keys == keys[dangling].min())]
+        r = np.flatnonzero(declared)[np.argmax(keys == keys[dangling].min())]
         named_child, named_parent = map(int, words(r, 2))
         raise DanglingEdge(
             f"parent {named_parent} of class {named_child} is never declared "
@@ -224,7 +319,6 @@ def parse_edge_list(
     parents = np.full(n, NO_PARENT, dtype=np.int32)
     parents[child[declared] - 1] = keys - 1  # a root's key 0 becomes NO_PARENT
     class_depths(parents)  # raises CyclicTaxonomy on a loop
-    moved = np.flatnonzero(repeat)
     dropped = (key[moved] - 1).tolist()
     # A dropped parent of _BIG or more has a code, not its id: reread it.
     for i in np.flatnonzero(key[moved] >= _BIG).tolist():

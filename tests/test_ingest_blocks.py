@@ -1,22 +1,27 @@
 """The ingest path at tiny block sizes: the same bytes, results and errors.
 
 File writers and readers, ``validate`` and ``level_of`` work in blocks of
-``tree._BLOCK_ENTRIES`` entries. Each case here runs with 7 and 64
+``tree._BLOCK_ENTRIES`` entries, and ``parse_edge_list`` in blocks of
+lines of about as many characters. Each case here runs with 7 and 64
 entries a block, so that every array of the toy fixtures and of small
 random forests spans several blocks, and compares with the default size
-or with the whole-matrix references.
+or with the whole-matrix references; the edge lists are also read on one
+thread and on three.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import oracles
 import semtree as st
 from helpers import random_taxonomy
-from semtree import PathLabels, fileio, tree
+from semtree import PathLabels, fileio, transforms, tree
 from test_formats import CASES, GOLDEN
+from test_ingestion import PARSE_CASES, check_parse_matches_the_line_loop
 
 BLOCKS = [7, 64]
 
@@ -198,3 +203,46 @@ def test_strided_input_writes_its_contiguous_bytes(small_blocks, tmp_path):
         write(wrap(data), tmp_path / "strided")
         write(wrap(np.ascontiguousarray(data)), tmp_path / "contiguous")
         assert (tmp_path / "strided").read_bytes() == (tmp_path / "contiguous").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(**PARSE_CASES)
+def test_parse_fuzz_in_blocks_matches_the_line_loop(lines, ends, as_file, merge, last_end):
+    for block, threads in itertools.product(BLOCKS, [1, 3]):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree, "_BLOCK_ENTRIES", block)
+            patch.setattr(transforms, "_workers", lambda: threads)
+            check_parse_matches_the_line_loop(lines, ends, as_file, merge, last_end)
+
+
+# Two parents of 2**62 and more in the first block and the larger one again
+# in a later block, where ranking that block's own ids alone would give it
+# the smaller one's code: a false duplicate of class 2's first line.
+_HUGE_ACROSS_BLOCKS = [
+    "1",
+    "2 4611686018427387905",
+    "3 4611686018427387906",
+    "4 1",
+    "5 1",
+    "6 1",
+    "2 4611686018427387906",
+]
+
+
+@pytest.mark.parametrize("block", [32, 64])
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("as_file", [True, False], ids=["file", "lines"])
+def test_huge_ids_ranked_over_all_blocks(block, threads, as_file, monkeypatch, tmp_path):
+    source = _HUGE_ACROSS_BLOCKS
+    if as_file:
+        source = tmp_path / "edges.txt"
+        source.write_text("".join(line + "\n" for line in _HUGE_ACROSS_BLOCKS))
+    monkeypatch.setattr(tree, "_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(transforms, "_workers", lambda: threads)
+    for policy in ("first", "reject"):
+        with pytest.raises(st.SemtreeError) as got:
+            st.parse_edge_list(source, policy)
+        with pytest.raises(st.SemtreeError) as want:
+            oracles.parse_edge_list_reference(source, policy)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        assert "duplicate" not in str(got.value)
