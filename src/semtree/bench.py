@@ -111,6 +111,7 @@ def run_bench(
     """
     _check_count("repetitions", reps, 3)
     _check_count("batch size", batch_size)
+    _check_count("seed", seed, 0)
     n, L = enc.num_classes, enc.num_levels
     # Peak is the loss: the partitioned tensor it reads, the flattened
     # rows (at most one per sample and level, so at most that tensor's

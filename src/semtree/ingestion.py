@@ -12,7 +12,9 @@ per thread; the records of all blocks are then joined and matched.
 
 ``generate_synthetic`` builds trees of a requested size and depth for
 benchmarks: a spine guarantees one class per level, every other class
-attaches below it, with every eligible parent equally likely.
+attaches below it, with every eligible parent equally likely. Its draws
+are those of ``np.random.default_rng(seed)``, read from the bit
+generator's raw words (``_draws``).
 """
 
 import bisect
@@ -392,19 +394,76 @@ class SyntheticTreeSpec:
     seed: int = 0
 
 
+# Raw words taken from the bit generator at a time, so that no list of
+# one word per class is held.
+_CHUNK = 4096
+_LOW = (1 << 32) - 1
+
+
+def _draws(seed: int, chunk: int = _CHUNK):
+    """``(random, integers)``: the values that ``random()`` and
+    ``integers(s)`` (for ``1 <= s <= 2**32``) of
+    ``np.random.default_rng(seed)`` return, called in the same order,
+    without a call into the ``Generator`` per draw.
+
+    This relies on numpy's behaviour since 1.17: ``default_rng`` is
+    PCG64, whose 64-bit words ``random_raw`` gives, and
+    - ``random()`` is one whole word ``w``: ``(w >> 11) * 2.0**-53``;
+    - ``integers(1)`` draws nothing;
+    - any other ``integers(s)`` takes 32-bit halves, the low half of a
+      word first and its high half kept for the next such draw (a
+      ``random()`` between them leaves it kept), and applies Lemire's
+      method: ``m = x * s`` is accepted when ``m % 2**32`` is at least
+      ``(2**32 - s) % s``, else the next half is tried, and the result
+      is ``m >> 32``.
+    The trees pinned in the tests fail if a release changes any of it.
+    """
+    bitgen = np.random.default_rng(seed).bit_generator
+    # An endless stream of words, taken ``chunk`` at a time as Python ints.
+    next_word = itertools.chain.from_iterable(
+        iter(lambda: bitgen.random_raw(chunk).tolist(), None)
+    ).__next__
+    half = None
+
+    def random() -> float:
+        return (next_word() >> 11) * 2.0**-53
+
+    def integers(s: int) -> int:
+        nonlocal half
+        if s == 1:
+            return 0
+        while True:
+            if half is None:
+                word = next_word()
+                x, half = word & _LOW, word >> 32
+            else:
+                x, half = half, None
+            m = x * s
+            # The threshold is below s, so only a rare low part below s
+            # needs it worked out.
+            if m & _LOW >= s or m & _LOW >= ((1 << 32) - s) % s:
+                return m >> 32
+
+    return random, integers
+
+
 def generate_synthetic(spec: SyntheticTreeSpec) -> Taxonomy:
     """Generate a deterministic random tree with the requested dimensions.
 
     Classes ``0..num_levels-1`` form a spine with one class per level,
     so the encoding of the result always has exactly ``num_levels``
     levels; the rest attach at random to classes above the deepest
-    level. Identical specs yield identical taxonomies. Counts that are
-    not integers of at least 1, or fewer classes than levels, raise
-    ``ParameterError``.
+    level. Identical specs yield identical taxonomies: each class takes
+    one ``random()`` for its depth and one ``integers()`` for its parent,
+    the draws of ``np.random.default_rng(seed)`` read from the bit
+    generator's raw words (see ``_draws``). Counts that
+    are not integers of at least 1, a seed that is not an integer of at
+    least 0, or fewer classes than levels raise ``ParameterError``.
     """
     n, L = spec.num_classes, spec.num_levels
     _check_count("number of classes", n)
     _check_count("number of levels", L)
+    _check_count("seed", spec.seed, 0)
     if n < L:
         raise ParameterError(
             f"cannot reach depth {L} with only {n} classes"
@@ -414,20 +473,23 @@ def generate_synthetic(spec: SyntheticTreeSpec) -> Taxonomy:
         return Taxonomy(parents=parents)  # a forest of roots
     parents[1:L] = np.arange(L - 1)
 
-    rng = np.random.default_rng(spec.seed)
+    random, integers = _draws(spec.seed)
     # pools[d] holds the classes at depth d that may still take children
-    # (only depths up to L-2 may, so no child ever exceeds depth L-1).
+    # (only depths up to L-2 may, so no child ever exceeds depth L-1);
+    # bounds[d] counts the classes in pools 0..d. A class joins a deep
+    # pool far more often than a shallow one, so keeping the counts costs
+    # less than summing the pools again for each class.
     pools: list[list[int]] = [[d] for d in range(L - 1)]
-    sizes = [1] * (L - 1)
+    bounds = list(range(1, L))
     # Each class draws a depth weighted by its pool's size, then a class of
     # that pool, so every eligible parent is equally likely. One draw over
     # all of them would do the same, but give other trees for each seed.
     for c in range(L, n):
-        bounds = list(itertools.accumulate(sizes))
-        d = bisect.bisect_right(bounds, rng.random() * bounds[-1])
+        d = bisect.bisect_right(bounds, random() * bounds[-1])
         pool = pools[d]
-        parents[c] = pool[int(rng.integers(sizes[d]))]
+        parents[c] = pool[integers(len(pool))]
         if d + 1 <= L - 2:
             pools[d + 1].append(c)
-            sizes[d + 1] += 1
+            for j in range(d + 1, L - 1):
+                bounds[j] += 1
     return Taxonomy(parents=parents)

@@ -68,6 +68,12 @@ class TestRunBench:
         with pytest.raises(ParameterError, match="integer"):
             run_bench(small_encoding, batch, reps)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_seeds_that_are_not_counts(self, small_encoding, seed):
+        # -1 failed inside numpy and True passed as 1.
+        with pytest.raises(ParameterError, match="seed must be an integer of at least 0"):
+            run_bench(small_encoding, 8, 3, seed=seed)
+
     def test_memory_guard(self, small_encoding):
         with pytest.raises(InsufficientMemory, match="available"):
             run_bench(small_encoding, 10**12, 3)

@@ -244,3 +244,8 @@ class TestBench:
             == 0
         )
         assert "partition_ns=" in capsys.readouterr().out
+
+    def test_negative_seed(self, capsys):
+        # This ended in numpy's traceback ("expected non-negative integer").
+        assert main(["bench", "--classes", "20", "--levels", "3", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be an integer of at least 0")

@@ -24,6 +24,7 @@ from semtree import (
     class_depths,
     encode,
     generate_synthetic,
+    ingestion,
     parse_edge_list,
     transforms,
     write_edge_list,
@@ -399,6 +400,9 @@ class TestGenerateSynthetic:
         "n, L, seed, digest",
         [
             (117_659, 20, 0, "c88239158700a3b9dbec6ea42eae9c92d850ccd8208b0b09793866cc64e51727"),
+            # Seed 4 is the only c08 tree of seeds 0-5 whose draws take a
+            # Lemire rejection, so it pins _draws's rejection step.
+            (117_659, 20, 4, "02c360d95401952f0d583549656b4d8271ab61dc717a8b0d357ef2ce200df67b"),
             (10_000, 8, 0, "36c38cebfc54b045b42b0d3a9c0b601439f446585e8e7a7ff13260dedcb56620"),
             (5000, 20, 3, "ba00557c97cf4e883403275111600a8b54dfbf76f577005b0a63b24437f12375"),
             (2500, 10, 2, "6298e0d1266116a9fadbeefc52a4be68451ef8b192c41adcaa3765715b0e41cf"),
@@ -422,6 +426,38 @@ class TestGenerateSynthetic:
         np.testing.assert_array_equal(
             tax.parents, oracles.generate_synthetic_reference(n, L, seed)
         )
+
+    def test_draws_match_the_generator(self):
+        # About half of all draws of 2**31 + 1 are rejected; a chunk of 7
+        # words puts refills between and inside draws.
+        sizes = [1, 2, 3, 117_659, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+        for seed in range(200):
+            random, integers = ingestion._draws(seed, chunk=7)
+            rng = np.random.default_rng(seed)
+            # A half kept by integers() must survive the random() after it.
+            assert integers(3) == rng.integers(3)
+            assert random() == rng.random()
+            assert integers(5) == rng.integers(5)
+            pick = np.random.default_rng([seed, 1])
+            for k in pick.integers(len(sizes) + 1, size=60):
+                if k == len(sizes):
+                    assert random() == rng.random()
+                else:
+                    assert integers(sizes[k]) == rng.integers(sizes[k])
+
+    @pytest.mark.parametrize(
+        "seed", [-1, 1.5, "3", True, None, np.float64(2.0), np.int64(-2)]
+    )
+    @pytest.mark.parametrize("L", [1, 4])
+    def test_seeds_that_are_not_counts(self, seed, L):
+        # seed=None gave another tree on each call; -1, 1.5 and "3" failed
+        # inside numpy, and True passed as 1.
+        with pytest.raises(ParameterError, match="seed must be an integer of at least 0"):
+            generate_synthetic(SyntheticTreeSpec(50, L, seed=seed))
+
+    def test_numpy_integer_seed(self):
+        a = generate_synthetic(SyntheticTreeSpec(50, 4, seed=np.uint64(3)))
+        assert a == generate_synthetic(SyntheticTreeSpec(50, 4, seed=3))
 
     def test_too_few_classes(self):
         with pytest.raises(ParameterError):
