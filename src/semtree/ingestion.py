@@ -5,10 +5,11 @@ line with a single id declares a root, a line with ``child parent``
 declares an edge, ``#`` starts a comment. Ids must be contiguous from 1
 so they can double as array indices.
 
-``parse_edge_list`` cuts its text into blocks of whole lines, about
-``tree._BLOCK_ENTRIES`` characters each, and reads them on one thread
-per CPU, so the per-character and per-token arrays exist for one block
-per thread; the records of all blocks are then joined and matched.
+``parse_edge_list`` reads a file, or an iterable's elements joined as
+lines, as one text, and the lines that start in each range of about
+``tree._BLOCK_ENTRIES`` characters as a block on one thread per CPU, so
+the per-character and per-token arrays exist for one block per thread;
+the records of all blocks are then joined and matched.
 
 ``generate_synthetic`` builds trees of a requested size and depth for
 benchmarks: a spine guarantees one class per level, every other class
@@ -26,7 +27,7 @@ from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
-from . import transforms, tree
+from . import transforms
 from .errors import (
     DanglingEdge,
     EdgeListError,
@@ -106,9 +107,8 @@ def _token_values(text, codes, space, starts, stops):
     return values, ok, bigs
 
 
-def _read_block(text, ends):
-    """The records of one block of whole lines, ``text`` with its comments
-    cut and ``ends`` where its line separators sit (None: at its newlines).
+def _read_block(text):
+    """The records of one block of whole lines, ``text``, its comments cut.
 
     Per non-blank line (a record): its line within the block, the offset
     of its first token, its token count, the value codes of its first two
@@ -120,8 +120,7 @@ def _read_block(text, ends):
     codes = _char_codes(text)
     # The ASCII characters str.split() splits on: \t to \r, \x1c to space.
     space = (codes - np.uint8(9) <= 4) | (codes - np.uint8(28) <= 4)
-    if ends is None:
-        ends = np.flatnonzero(codes == ord("\n"))
+    ends = np.flatnonzero(codes == ord("\n"))
     bounds = np.diff(space.view(np.int8), prepend=np.int8(1), append=np.int8(1))
     starts = np.flatnonzero(bounds == -1).astype(np.int32)
     stops = np.flatnonzero(bounds == 1).astype(np.int32)
@@ -145,15 +144,24 @@ def _read_block(text, ends):
     return records, ends.size, huge
 
 
-def _block_length(total):
-    """The length of the blocks that cut ``total`` characters into blocks of
-    at most about ``tree._BLOCK_ENTRIES``: equal ones, as many as a multiple
-    of the threads once there is more than one."""
-    count = -(-total // tree._BLOCK_ENTRIES)
-    if count > 1:
-        threads = transforms._workers()
-        count = -(-count // threads) * threads
-    return max(1, -(-total // max(1, count)))
+def _text(source):
+    """An edge list as one text: a file's, or an iterable's elements joined
+    as lines, as ``parse_edge_list`` reads them."""
+    if isinstance(source, (str, os.PathLike)):
+        try:
+            with open(source, "r", encoding="utf-8") as f:
+                return f.read()
+        except UnicodeDecodeError as e:  # its object is the whole file
+            line = len(e.object[: e.start + 1].splitlines())  # at \r, \n and \r\n
+            raise EdgeListError(f"{source}: line {line} is not UTF-8") from None
+    lines = list(source)
+    try:  # str.replace refuses any element that is not a str
+        return "\n".join([str.replace(line, "\n", " ") for line in lines])
+    except TypeError:
+        i = next(i for i, line in enumerate(lines) if not isinstance(line, str))
+        raise ParameterError(
+            f"edge list element {i + 1} must be a str, got {type(lines[i]).__name__}"
+        ) from None
 
 
 def _records(source):
@@ -162,52 +170,22 @@ def _records(source):
     above ranked over the whole source, and ``words(r, count)``, the first
     ``count`` tokens of record r.
 
-    A file's text is cut into blocks after a newline, an iterable after an
-    element, each block at least ``_block_length`` characters but the
-    last. ``transforms._for_row_blocks`` reads one block a call, and the
-    blocks' records are joined one field at a time.
+    ``transforms._for_row_blocks`` cuts the ``_text`` as rows of one
+    character (at least one: an empty text is one empty block), a block
+    the lines that start in its rows, and their records are joined.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as f:
-            text = f.read()
-        size = _block_length(len(text))
-        cuts = [0]
-        while 0 < (end := text.find("\n", cuts[-1] + size - 1) + 1) < len(text):
-            cuts.append(end)
-        cuts.append(len(text))
+    text = _text(source)
 
-        def block(lo, hi):
-            part = text[cuts[lo] : cuts[hi]]
-            if "#" in part:
-                part = re.sub(r"#[^\n]*", "", part)
-            return part, None
+    def line_start(at):  # the first line start at or after ``at``
+        return at and (text.find("\n", at - 1) + 1 or len(text))
 
-    else:
-        lines = list(source)
-        offset = np.zeros(len(lines) + 1, dtype=np.int64)  # where each element starts
-        np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1, out=offset[1:])
-        size = _block_length(int(offset[-1]))
-        cuts = [0]
-        while (end := int(np.searchsorted(offset, offset[cuts[-1]] + size))) < len(lines):
-            cuts.append(end)
-        cuts.append(len(lines))
-        del offset
+    def block(lo, hi):
+        part = text[line_start(lo) : line_start(hi)]
+        return re.sub(r"#[^\n]*", "", part) if "#" in part else part
 
-        def block(lo, hi):
-            part = lines[cuts[lo] : cuts[hi]]
-            text = "\n".join(part)
-            if "#" in text:  # a comment runs to the end of its element
-                part = [line.partition("#")[0] for line in part]
-                text = "\n".join(part)
-            sizes = np.fromiter(map(len, part), dtype=np.intp, count=len(part))
-            return text, np.cumsum(sizes + 1) - 1  # where each separator sits
-
-    # Each row of _for_row_blocks is one block of text, so a call reads one.
     spans, blocks, line_counts, bigs = zip(
         *transforms._for_row_blocks(
-            len(cuts) - 1,
-            transforms._BLOCK_ENTRIES,
-            lambda lo, hi: ((lo, hi), *_read_block(*block(lo, hi))),
+            max(1, len(text)), 1, lambda lo, hi: ((lo, hi), *_read_block(block(lo, hi)))
         )
     )
     first = np.cumsum([0] + [b[0].size for b in blocks])  # each block's first record
@@ -228,7 +206,7 @@ def _records(source):
 
     def words(r, count):
         k = int(np.searchsorted(first, r, side="right")) - 1
-        found = _TOKEN.finditer(block(*spans[k])[0], int(start[r]))
+        found = _TOKEN.finditer(block(*spans[k]), int(start[r]))
         return [m.group() for m in itertools.islice(found, count)]
 
     return line, fields, child, key, faulty, words
@@ -246,17 +224,19 @@ def parse_edge_list(
     lines are an error under either policy.
 
     A file is read once, as UTF-8 text with universal newlines; an
-    iterable gives one line per element, even when an element holds a
-    newline. The text is read in blocks of whole lines on one thread per
-    CPU: comments are cut from a block before array passes over its
-    character codes find its token bounds, their lines, their values and
-    every fault, with Python only for tokens ``int()`` must judge (signs,
-    underscores, non-ASCII digits, more than 18 digits). The records of
-    the blocks are then matched by child id, through a table of the ids
-    unless one exceeds the number of records. An error on a line names
-    the earliest faulty line, 1-based, with the fault a line-by-line
-    reading would meet first there; then come an empty list, an
-    undeclared parent and a gap in the ids, in that order.
+    iterable's elements, which must be ``str`` (else ``ParameterError``),
+    are joined as lines, an element's own newlines read as spaces. The
+    lines that start in each character range of the text are read as a
+    block on one thread per CPU: comments are cut from a block before
+    array passes over its character codes find its token bounds, their
+    lines, their values and every fault, with Python only for tokens
+    ``int()`` must judge (signs, underscores, non-ASCII digits, more than
+    18 digits). The records of the blocks are then matched by child id,
+    through a table of the ids unless one exceeds the number of records.
+    An error on a line names the earliest faulty line, 1-based, with the
+    fault a line-by-line reading would meet first there; then come an
+    empty list, an undeclared parent and a gap in the ids, in that order.
+    A file that is not UTF-8 is refused first, naming its first bad byte's line.
     """
     if policy not in ("first", "reject"):
         raise ParameterError(f"unknown multi-parent policy {policy!r}")

@@ -41,7 +41,8 @@ from .errors import (
     ShapeError,
     UnsupportedMaskValue,
 )
-from .tree import _BLOCK_ENTRIES, PAD, TreeEncoding
+from . import tree
+from .tree import PAD, TreeEncoding
 
 NEG_INF = float("-inf")
 
@@ -66,7 +67,7 @@ def _for_row_blocks(
 
     The blocks run on ``threads`` threads, by default one per CPU this
     process may run on, so at most that many calls of ``fn`` run at once.
-    A block holds at most ``_BLOCK_ENTRIES // row_entries`` rows (at least
+    A block holds at most ``tree._BLOCK_ENTRIES // row_entries`` rows (at least
     one), or with ``per_thread`` at least a thread's share of the rows, for
     kernels whose cost per block is Python overhead rather than cache
     misses. With one thread or one block, the blocks run in order on the
@@ -79,7 +80,7 @@ def _for_row_blocks(
     the first failing block, of any kind, is raised.
     """
     threads = threads or _workers()
-    size = max(1, _BLOCK_ENTRIES // max(1, row_entries))
+    size = max(1, tree._BLOCK_ENTRIES // max(1, row_entries))
     if per_thread:
         size = max(size, -(-num_rows // threads))
     count = -(-num_rows // size)
@@ -379,7 +380,7 @@ def _loss_scratch_bytes(n: int, widest: int) -> int:
     columns: a column index per class, and for each of at most
     ``_LOSS_RUNS`` runs of blocks a block's marks and float64 values for a
     row or a gathered block."""
-    per_block = max(1, _BLOCK_ENTRIES // n)
+    per_block = max(1, tree._BLOCK_ENTRIES // n)
     return 8 * n + _LOSS_RUNS * (per_block * n + 8 * max(n, per_block * widest))
 
 
@@ -462,7 +463,7 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     # a scan finds them, so both give the same segments; other blocks are
     # scanned. The segments collect in float64, in row order, until the
     # next would not fit, then are reduced together.
-    step = max(1, _BLOCK_ENTRIES // n)
+    step = max(1, tree._BLOCK_ENTRIES // n)
     num_blocks = -(-num_rows // step)
     per_block = min(step, num_rows)
     size = max(n, per_block * max(c.size for c in columns.values()))
@@ -508,7 +509,7 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
         finally:
             spare.append(scratch)
 
-    _for_row_blocks(num_blocks, _BLOCK_ENTRIES, run, per_thread=True, threads=threads)
+    _for_row_blocks(num_blocks, tree._BLOCK_ENTRIES, run, per_thread=True, threads=threads)
     per_row = lse - label_scores
     if not np.isfinite(per_row).all():
         i = int(np.argmax(~np.isfinite(per_row)))

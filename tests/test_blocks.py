@@ -33,6 +33,7 @@ from semtree import (
     partition_scores,
     softmax_levels,
     transforms,
+    tree,
 )
 
 # (threads, entries per block): one block on one thread is the whole-batch
@@ -45,7 +46,7 @@ SETTING_IDS = ["1-thread-tiny", "4-threads-tiny", "4-threads-small", "4-threads"
 def use(monkeypatch, threads, block):
     monkeypatch.setattr(transforms, "_workers", lambda: threads)
     if block is not None:
-        monkeypatch.setattr(transforms, "_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(tree, "_BLOCK_ENTRIES", block)
 
 
 def run_all(enc, scores, labels):
@@ -128,7 +129,7 @@ def test_blocks_match_the_references(monkeypatch, setting):
 
 def test_random_forests_at_every_thread_count(monkeypatch):
     rng = np.random.default_rng(72)
-    monkeypatch.setattr(transforms, "_BLOCK_ENTRIES", 256)
+    monkeypatch.setattr(tree, "_BLOCK_ENTRIES", 256)
     for _ in range(12):
         enc = encode(random_taxonomy(rng, max_classes=120, max_depth=7))
         scores = rng.standard_normal((int(rng.integers(1, 40)), enc.num_classes))

@@ -68,6 +68,12 @@ class TestEncode:
         assert main(["encode", str(tmp_path / "nope.txt")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"1\r2 1\n3 1 # caf\xe9\n")
+        assert main(["encode", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {p}: line 3 is not UTF-8\n"
+
 
 class TestTransforms:
     def test_scores_summary(self, encoding_file, scores_file, capsys):

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 import oracles
 import semtree as st
 from helpers import random_taxonomy
-from semtree import PathLabels, fileio, transforms, tree
+from semtree import PathLabels, fileio, ingestion, transforms, tree
 from test_formats import CASES, GOLDEN
 from test_ingestion import PARSE_CASES, check_parse_matches_the_line_loop
 
@@ -246,3 +246,22 @@ def test_huge_ids_ranked_over_all_blocks(block, threads, as_file, monkeypatch, t
             oracles.parse_edge_list_reference(source, policy)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
         assert "duplicate" not in str(got.value)
+
+
+def test_block_size_reaches_the_parse(small_blocks, monkeypatch, tmp_path):
+    # A parse that read a binding the fixture does not patch would read
+    # these 40 lines, about 200 characters, in one block.
+    lines = ["1"] + [f"{c} {c // 2}" for c in range(2, 41)]
+    path = tmp_path / "edges.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    calls, read_block = [], ingestion._read_block
+
+    def spy(text):
+        calls.append(text)
+        return read_block(text)
+
+    monkeypatch.setattr(ingestion, "_read_block", spy)
+    for source in (lines, path):
+        calls.clear()
+        assert st.parse_edge_list(source).taxonomy.num_classes == 40
+        assert len(calls) > 1

@@ -109,6 +109,50 @@ class TestParseEdgeList:
         with pytest.raises(ParameterError):
             parse_edge_list(["1"], policy="vote")
 
+    def test_empty_sources(self, tmp_path):
+        p = tmp_path / "empty.txt"
+        p.write_text("")
+        for source in ([], iter(()), p):
+            with pytest.raises(EdgeListError, match="declares no classes"):
+                parse_edge_list(source)
+
+    def test_generator_read_once(self):
+        parsed = parse_edge_list(line for line in TOY_EDGE_LINES)
+        np.testing.assert_array_equal(parsed.taxonomy.parents, TOY_PARENTS)
+
+    @pytest.mark.parametrize(
+        "lines, at, kind",
+        [([b"1", b"2 1"], 1, "bytes"), (["1", 2], 2, "int"), ([None], 1, "NoneType")],
+    )
+    def test_elements_that_are_not_str(self, lines, at, kind):
+        for source in (lines, (line for line in lines)):
+            with pytest.raises(
+                ParameterError, match=f"^edge list element {at} must be a str, got {kind}$"
+            ):
+                parse_edge_list(source)
+
+    # (bytes before the first bad one, its 1-based line): \r alone, \n and
+    # \r\n each end a line, and the last case lies past the read buffers.
+    @pytest.mark.parametrize(
+        "head, line",
+        [
+            (b"", 1),
+            (b"1\n2 ", 2),
+            (b"1\r2 1\r", 3),
+            (b"1\r\n2 1\r\n", 3),
+            (b"1\r\r\n2 1\n\n3 1", 5),
+            (b"1\n" + b"2 1\r" * 20_000, 20_002),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3(", b"\xe2\x82"])
+    def test_file_that_is_not_utf8(self, tmp_path, head, line, bad):
+        p = tmp_path / "edges.txt"
+        p.write_bytes(head + bad + b"\n9 1\n")
+        for source in (p, str(p)):
+            with pytest.raises(EdgeListError) as info:
+                parse_edge_list(source)
+            assert str(info.value) == f"{p}: line {line} is not UTF-8"
+
 
 class TestMultiParent:
     LINES = ["1", "2", "3 1", "3 2"]

@@ -30,6 +30,7 @@ from semtree import (
     partition_scores,
     softmax_levels,
     transforms,
+    tree,
 )
 
 TOY_LABELS_DISPLAY = np.array([4, 7, 2, 6, 3])
@@ -429,7 +430,7 @@ class TestCrossEntropy:
     )
     def test_blocks_equal_the_whole_matrix(self, monkeypatch, num_rows, n, block, dtype):
         if block is not None:
-            monkeypatch.setattr(transforms, "_BLOCK_ENTRIES", block)
+            monkeypatch.setattr(tree, "_BLOCK_ENTRIES", block)
         rng = np.random.default_rng(27)
         rows = (rng.standard_normal((num_rows, n)) * 5).astype(dtype)
         rows[rng.random(rows.shape) < 0.6] = NEG_INF
@@ -442,7 +443,7 @@ class TestCrossEntropy:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_toy_blocks_equal_the_whole_matrix(self, monkeypatch, toy_encoding, dtype):
-        monkeypatch.setattr(transforms, "_BLOCK_ENTRIES", 2 * 9)
+        monkeypatch.setattr(tree, "_BLOCK_ENTRIES", 2 * 9)
         scores = toy_scores().astype(dtype)
         flat = _flat_from(toy_encoding, scores, TOY_LABELS_DISPLAY - 1)
         want = oracles.cross_entropy_whole_matrix(flat.rows, flat.labels)
@@ -484,7 +485,7 @@ class TestCrossEntropy:
             enc = encode(random_taxonomy(rng, max_classes=300, max_depth=6))
             if rows_per_block:
                 monkeypatch.setattr(
-                    transforms, "_BLOCK_ENTRIES", rows_per_block * enc.num_classes
+                    tree, "_BLOCK_ENTRIES", rows_per_block * enc.num_classes
                 )
             batch = int(rng.integers(1, 50))
             dtype = (np.float32, np.float64)[int(rng.integers(2))]
@@ -537,7 +538,7 @@ class TestCrossEntropy:
         # loses one that is not its label, or both, keeping its count: its
         # block is scanned, others are still gathered, and each loss is the
         # scan's.
-        monkeypatch.setattr(transforms, "_BLOCK_ENTRIES", 4 * 1_000)
+        monkeypatch.setattr(tree, "_BLOCK_ENTRIES", 4 * 1_000)
         flat = _flat_1k(32, seed=31)
         at_level = np.flatnonzero(flat.origin[:, 1] == 5)
         i = at_level[0] if first else at_level[at_level.size // 2]
@@ -557,7 +558,7 @@ class TestCrossEntropy:
 
     @pytest.mark.parametrize("origin", ["zeroed", "shuffled"])
     def test_origins_that_miss_their_rows_change_no_loss(self, monkeypatch, origin):
-        monkeypatch.setattr(transforms, "_BLOCK_ENTRIES", 4 * 1_000)
+        monkeypatch.setattr(tree, "_BLOCK_ENTRIES", 4 * 1_000)
         flat = _flat_1k(32, seed=32)
         if origin == "zeroed":
             wrong = np.zeros_like(flat.origin)
