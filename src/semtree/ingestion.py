@@ -9,7 +9,8 @@ so they can double as array indices.
 lines, as one text, and the lines that start in each range of about
 ``tree._BLOCK_ENTRIES`` characters as a block on one thread per CPU, so
 the per-character and per-token arrays exist for one block per thread;
-the records of all blocks are then joined and matched.
+the records of all blocks (a line, two ids and a fault flag each) are
+then joined and matched, and only an error reads its line's block again.
 
 ``generate_synthetic`` builds trees of a requested size and depth for
 benchmarks: a spine guarantees one class per level, every other class
@@ -59,9 +60,6 @@ _NON_ASCII_SPACE = re.compile(r"[^\S\x00-\x7f]")
 # every id of at most _MAX_DIGITS digits lies below it.
 _BIG = 1 << 62
 _MAX_DIGITS = 18
-# A token as the arrays find one: ``\s`` is what _NON_ASCII_SPACE and
-# _read_block call whitespace.
-_TOKEN = re.compile(r"\S+")
 
 
 def _char_codes(text: str) -> np.ndarray:
@@ -110,10 +108,10 @@ def _token_values(text, codes, space, starts, stops):
 def _read_block(text):
     """The records of one block of whole lines, ``text``, its comments cut.
 
-    Per non-blank line (a record): its line within the block, the offset
-    of its first token, its token count, the value codes of its first two
-    tokens (the second 0 for a bare id), and whether either of those two
-    is not an id of at least 1. Then the block's line separator count and
+    Per non-blank line (a record): its line within the block, the value
+    codes of its first two tokens (the second 0 for a bare id), and
+    whether it has more than two tokens or either of its first two is not
+    an id of at least 1. Then the block's line separator count and
     its ids of ``_BIG`` and above as (record, 0 for the child or 1 for
     the parent, id).
     """
@@ -129,31 +127,32 @@ def _read_block(text):
     del codes, space, stops
     token_line = np.searchsorted(ends, starts).astype(np.int32)
     head = np.flatnonzero(np.diff(token_line, prepend=-1))
-    fields = np.diff(head, append=starts.size).astype(np.int32)
+    fields = np.diff(head, append=starts.size)
     second = np.minimum(head + 1, starts.size - 1)  # in bounds for a last bare id
     bad = ~ok | (values < 1)
     paired = fields >= 2
     key = np.where(paired, values[second], 0)
-    faulty = bad[head] | (paired & bad[second])
+    faulty = (fields > 2) | bad[head] | (paired & bad[second])
     huge = []
     for i, value in bigs:  # a third token or later only ever faults its line
         r = int(np.searchsorted(head, i, side="right")) - 1
         if i - head[r] < 2:
             huge.append((r, int(i - head[r]), value))
-    records = [token_line[head], starts[head], fields, values[head], key, faulty]
+    records = [token_line[head], values[head], key, faulty]
     return records, ends.size, huge
 
 
 def _text(source):
     """An edge list as one text: a file's, or an iterable's elements joined
     as lines, as ``parse_edge_list`` reads them."""
-    if isinstance(source, (str, os.PathLike)):
+    if isinstance(source, (str, bytes, os.PathLike)):
         try:
             with open(source, "r", encoding="utf-8") as f:
                 return f.read()
         except UnicodeDecodeError as e:  # its object is the whole file
             line = len(e.object[: e.start + 1].splitlines())  # at \r, \n and \r\n
-            raise EdgeListError(f"{source}: line {line} is not UTF-8") from None
+            name = os.fsdecode(source)
+            raise EdgeListError(f"{name}: line {line} is not UTF-8") from None
     lines = list(source)
     try:  # str.replace refuses any element that is not a str
         return "\n".join([str.replace(line, "\n", " ") for line in lines])
@@ -167,8 +166,8 @@ def _text(source):
 def _records(source):
     """The records of an edge list, as ``_read_block`` gives them but with
     line numbers from the start of the source and the ids of ``_BIG`` and
-    above ranked over the whole source, and ``words(r, count)``, the first
-    ``count`` tokens of record r.
+    above ranked over the whole source as ``_BIG + i`` for ``big[i]``, then
+    ``big`` and ``words(r)``, the tokens of record r's line, from its block.
 
     ``transforms._for_row_blocks`` cuts the ``_text`` as rows of one
     character (at least one: an empty text is one empty block), a block
@@ -189,31 +188,30 @@ def _records(source):
         )
     )
     first = np.cumsum([0] + [b[0].size for b in blocks])  # each block's first record
+    before = np.cumsum([0, *line_counts])  # and its first line
     joined = []
-    for i in range(6):  # a field at a time, so no record is held twice
+    for i in range(4):  # a field at a time, so no record is held twice
         joined.append(np.concatenate([b[i] for b in blocks]))
         for b in blocks:
             b[i] = None
-    line, start, fields, child, key, faulty = joined
-    for lo, hi, before in zip(first[:-1], first[1:], np.cumsum([0, *line_counts])):
-        line[lo:hi] += before
+    line, child, key, faulty = joined
+    for lo, hi, at in zip(first[:-1], first[1:], before):
+        line[lo:hi] += at
     # Codes that keep the order of the ids of _BIG and above, over all blocks.
     big = sorted({value for huge in bigs for *_, value in huge})
-    code = {value: _BIG + i for i, value in enumerate(big)}
     for lo, huge in zip(first.tolist(), bigs):
         for r, i, value in huge:
-            (child, key)[i][lo + r] = code[value]
+            (child, key)[i][lo + r] = _BIG + bisect.bisect_left(big, value)
 
-    def words(r, count):
+    def words(r):
         k = int(np.searchsorted(first, r, side="right")) - 1
-        found = _TOKEN.finditer(block(*spans[k]), int(start[r]))
-        return [m.group() for m in itertools.islice(found, count)]
+        return block(*spans[k]).split("\n")[line[r] - before[k]].split()
 
-    return line, fields, child, key, faulty, words
+    return line, child, key, faulty, big, words
 
 
 def parse_edge_list(
-    source: Union[str, os.PathLike, Iterable[str]],
+    source: Union[str, bytes, os.PathLike, Iterable[str]],
     policy: str = "first",
 ) -> ParsedTaxonomy:
     """Parse an edge list into a taxonomy.
@@ -223,24 +221,25 @@ def parse_edge_list(
     the others, ``"reject"`` raises ``MultipleParents``. Exact duplicate
     lines are an error under either policy.
 
-    A file is read once, as UTF-8 text with universal newlines; an
-    iterable's elements, which must be ``str`` (else ``ParameterError``),
-    are joined as lines, an element's own newlines read as spaces. The
-    lines that start in each character range of the text are read as a
-    block on one thread per CPU: comments are cut from a block before
-    array passes over its character codes find its token bounds, their
-    lines, their values and every fault, with Python only for tokens
-    ``int()`` must judge (signs, underscores, non-ASCII digits, more than
-    18 digits). The records of the blocks are then matched by child id,
-    through a table of the ids unless one exceeds the number of records.
-    An error on a line names the earliest faulty line, 1-based, with the
-    fault a line-by-line reading would meet first there; then come an
-    empty list, an undeclared parent and a gap in the ids, in that order.
-    A file that is not UTF-8 is refused first, naming its first bad byte's line.
+    A file (a ``str``, ``bytes`` or path-like name) is read once, as UTF-8
+    text with universal newlines; an iterable's elements, which must be
+    ``str`` (else ``ParameterError``), are joined as lines, an element's own
+    newlines read as spaces. The lines that start in each character range of
+    the text are read as a block on one thread per CPU: comments are cut
+    from a block before array passes over its character codes find its
+    tokens, their lines, values and every fault, with Python only for tokens
+    ``int()`` must judge (signs, underscores, non-ASCII digits, over 18
+    digits). Each line keeps its number, first two ids and a fault flag,
+    matched by child id through a table of the ids unless one exceeds the
+    number of lines. An error names the earliest faulty line, 1-based, with
+    the fault a line-by-line reading would meet first there, read back from
+    its block; then come an empty list, an undeclared parent and a gap in
+    the ids, in that order. A non-UTF-8 file is refused first, naming its
+    first bad byte's line.
     """
     if policy not in ("first", "reject"):
         raise ParameterError(f"unknown multi-parent policy {policy!r}")
-    line, fields, child, key, faulty, words = _records(source)
+    line, child, key, faulty, big, words = _records(source)
 
     m = child.size
     if m and child.max() > m:  # a gap in the ids: only a sort can match them
@@ -258,7 +257,7 @@ def parse_edge_list(
     repeat[moved] = True
     duplicate = np.zeros(m, dtype=bool)
     duplicate[moved] = key[moved] == key[first_of[moved]]
-    fault = (fields > 2) | faulty | duplicate
+    fault = faulty | duplicate
     if policy == "reject":
         fault |= repeat
     # A record's flags depend only on earlier records, and those before the
@@ -266,11 +265,7 @@ def parse_edge_list(
     if fault.any():
         r = int(np.argmax(fault))
         raise _line_error(
-            int(line[r]) + 1,
-            int(fields[r]),
-            words(r, min(int(fields[r]), 2)),
-            bool(key[first_of[r]]),
-            bool(duplicate[r]),
+            int(line[r]) + 1, words(r), bool(key[first_of[r]]), bool(duplicate[r])
         )
 
     if not m:
@@ -285,7 +280,7 @@ def parse_edge_list(
     dangling = (keys > 0) & ~known
     if dangling.any():
         r = np.flatnonzero(declared)[np.argmax(keys == keys[dangling].min())]
-        named_child, named_parent = map(int, words(r, 2))
+        named_child, named_parent = map(int, words(r))
         raise DanglingEdge(
             f"parent {named_parent} of class {named_child} is never declared "
             f"as a class"
@@ -301,16 +296,13 @@ def parse_edge_list(
     parents = np.full(n, NO_PARENT, dtype=np.int32)
     parents[child[declared] - 1] = keys - 1  # a root's key 0 becomes NO_PARENT
     class_depths(parents)  # raises CyclicTaxonomy on a loop
-    dropped = (key[moved] - 1).tolist()
-    # A dropped parent of _BIG or more has a code, not its id: reread it.
-    for i in np.flatnonzero(key[moved] >= _BIG).tolist():
-        dropped[i] = int(words(int(moved[i]), 2)[1]) - 1
     resolutions = map(
         MultiParentResolution._make,
         zip(
             (child[moved] - 1).tolist(),
             (key[first_of[moved]] - 1).tolist(),
-            dropped,
+            # A dropped parent of _BIG or more has the code of its id.
+            [big[k - _BIG] - 1 if k >= _BIG else k - 1 for k in key[moved].tolist()],
         ),
     )
     return ParsedTaxonomy(
@@ -320,18 +312,18 @@ def parse_edge_list(
 
 
 def _line_error(
-    lineno: int, fields: int, words: list[str], had_parent: bool, duplicate: bool
+    lineno: int, words: list[str], had_parent: bool, duplicate: bool
 ) -> SemtreeError:
     """The error the line-by-line reading raises on line ``lineno``.
 
-    ``words`` are the line's tokens when it has at most two;
-    ``had_parent`` tells whether the child's first declaration named a
-    parent, and ``duplicate`` whether this line repeats it exactly.
+    ``words`` are the line's tokens, its comment cut; ``had_parent`` tells
+    whether the child's first declaration named a parent, and
+    ``duplicate`` whether this line repeats it exactly.
     """
-    if fields > 2:
+    if len(words) > 2:
         return EdgeListError(
             f"line {lineno}: expected 'child parent' or a bare root id, "
-            f"got {fields} fields"
+            f"got {len(words)} fields"
         )
     ids = []
     for token in words:
