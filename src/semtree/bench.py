@@ -16,7 +16,6 @@ from .errors import InsufficientMemory
 from .transforms import (
     _check_count,
     _check_memory,
-    _loss_scratch_bytes,
     cross_entropy,
     flatten_for_training,
     map_labels,
@@ -113,15 +112,10 @@ def run_bench(
     _check_count("batch size", batch_size)
     _check_count("seed", seed, 0)
     n, L = enc.num_classes, enc.num_levels
-    # Peak is the loss: the partitioned tensor it reads, the flattened
-    # rows (at most one per sample and level, so at most that tensor's
-    # size again) and the loss's scratch.
-    widest = int(np.bincount(enc.level_of).max())
-    required = (
-        scores_bytes(batch_size, n)
-        + 2 * partitioned_bytes(batch_size, L, n)
-        + _loss_scratch_bytes(n, widest)
-    )
+    # Peak is the loss: the partitioned tensor it reads and the flattened
+    # rows, at most one per sample and level, so at most that tensor's size
+    # again. The loss's own scratch is a fixed size, whatever the batch.
+    required = scores_bytes(batch_size, n) + 2 * partitioned_bytes(batch_size, L, n)
     _check_memory("benchmark", required)
 
     rng = np.random.default_rng(seed)

@@ -16,10 +16,10 @@ are scanned.
 Every row is independent of the others, so ``partition_scores``,
 ``flatten_for_training``, ``cross_entropy`` and the softmax and decoders
 in ``inference`` run over blocks of whole rows, shared out among one
-thread per CPU the process may use (at most ``_LOSS_RUNS`` for the loss,
-whose threads each hold scratch). NumPy releases the interpreter lock
-inside its loops, and every block writes its own rows of one
-preallocated output, so results do not depend on the number of threads.
+thread per CPU the process may use (the loss makes at most ``_LOSS_RUNS``
+runs of blocks, each over its own scratch). NumPy releases the
+interpreter lock inside its loops, and every block writes its own rows of
+one preallocated output, so results do not depend on the number of threads.
 """
 
 import contextvars
@@ -46,7 +46,7 @@ from .tree import PAD, TreeEncoding
 
 NEG_INF = float("-inf")
 
-# The loss runs at most this many runs of blocks at once, each over its
+# The loss shares its blocks out as at most this many runs, each over its
 # own scratch, so its working set does not grow with the CPU count.
 _LOSS_RUNS = 2
 
@@ -59,27 +59,26 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _for_row_blocks(
-    num_rows: int, row_entries: int, fn, *, per_thread=False, threads=None
-):
+def _for_row_blocks(num_rows: int, row_entries: int, fn, *, per_thread=False):
     """``fn(lo, hi)`` over blocks of whole rows of ``range(num_rows)``; the
     results in row order.
 
-    The blocks run on ``threads`` threads, by default one per CPU this
-    process may run on, so at most that many calls of ``fn`` run at once.
-    A block holds at most ``tree._BLOCK_ENTRIES // row_entries`` rows (at least
-    one), or with ``per_thread`` at least a thread's share of the rows, for
-    kernels whose cost per block is Python overhead rather than cache
-    misses. With one thread or one block, the blocks run in order on the
-    calling thread. Otherwise they are made the same size, their count a
-    multiple of the threads, and the caller and ``threads - 1`` helper
-    threads, started for this call and joined before it returns, take them
-    in order until none are left. Concurrent callers each start their own
-    helpers. The helpers run in copies of the caller's context, which
-    carries NumPy's error state. Every block runs, then the exception of
-    the first failing block, of any kind, is raised.
+    The blocks run on one thread per CPU this process may run on, so at
+    most that many calls of ``fn`` run at once. A block holds at most
+    ``tree._BLOCK_ENTRIES // row_entries`` rows (at least one), or with
+    ``per_thread`` at least a thread's share of the rows, for kernels whose
+    cost per block is Python overhead rather than cache misses. With one
+    thread or one block, the blocks run in order on the calling thread.
+    Otherwise they are made the same size, their count a multiple of the
+    threads, and the caller and ``min(threads, blocks) - 1`` helper threads,
+    started for this call and joined before it returns, take them in order
+    until none are left, so no helper starts without a block to take.
+    Concurrent callers each start their own helpers. The helpers run in
+    copies of the caller's context, which carries NumPy's error state.
+    Every block runs, then the exception of the first failing block, of any
+    kind, is raised.
     """
-    threads = threads or _workers()
+    threads = _workers()
     size = max(1, tree._BLOCK_ENTRIES // max(1, row_entries))
     if per_thread:
         size = max(size, -(-num_rows // threads))
@@ -106,7 +105,7 @@ def _for_row_blocks(
         threading.Thread(
             target=contextvars.copy_context().run, args=(work,), name="semtree-block"
         )
-        for _ in range(threads - 1)
+        for _ in range(min(threads, count) - 1)
     ]
     for helper in helpers:
         helper.start()
@@ -374,16 +373,6 @@ def _log_sum_exp(vals, counts):
     return np.log(np.add.reduceat(np.exp(vals, out=vals), starts)) + m
 
 
-def _loss_scratch_bytes(n: int, widest: int) -> int:
-    """At most the bytes ``cross_entropy`` holds beyond its ``O(num_rows)``
-    outputs for rows of ``n`` entries whose widest level has ``widest``
-    columns: a column index per class, and for each of at most
-    ``_LOSS_RUNS`` runs of blocks a block's marks and float64 values for a
-    row or a gathered block."""
-    per_block = max(1, tree._BLOCK_ENTRIES // n)
-    return 8 * n + _LOSS_RUNS * (per_block * n + 8 * max(n, per_block * widest))
-
-
 def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     """Numerically stable cross entropy over the retained training rows.
 
@@ -396,13 +385,14 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     other rows are gathered by them, a row at a time, wherever the marks
     confirm they are exactly the live entries; elsewhere the marks are
     scanned row by row. Whole rows are taken in blocks of a fixed number of
-    entries, and at most ``_LOSS_RUNS`` threads each take a run of whole
-    blocks with scratch made before any thread starts: the marks of a
-    block, and float64 values for a row or a gathered block, which hold
-    rows' entries in row order until the next would not fit and are then
-    reduced together. The working set beyond the ``O(num_rows)`` outputs
-    therefore stays the same at any batch size and CPU count, and each
-    row's loss is the same as over all rows at once, at any thread count.
+    entries, shared out as at most ``_LOSS_RUNS`` runs of whole blocks,
+    one thread each. The loss makes one scratch set per run before any
+    thread starts: the marks of a block, and float64 values for a row or a
+    gathered block, which hold rows' entries in row order until the next
+    would not fit and are then reduced together. The working set beyond
+    the ``O(num_rows)`` outputs therefore stays the same at any batch size
+    and CPU count, and each row's loss is the same as over all rows at
+    once, at any thread count.
     The per-row losses and their mean are returned. Rows must be 2-d
     integer or real float, labels 1-d integers, one per row, and
     ``origin`` 2-d integers, one ``(sample, level)`` pair per row; anything
@@ -440,8 +430,7 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     # row's live columns, the first rows taken in row order, while the
     # columns kept total at most n, so they never outnumber a row's
     # entries. The first rows are counted in order to find the levels that
-    # keep theirs, then those rows are scanned, a block of them a thread.
-    threads = min(_workers(), _LOSS_RUNS)
+    # keep theirs, then those rows are scanned in blocks.
     firsts, slots = np.unique(origin[:, 1], return_index=True, return_inverse=True)[1:]
     levels, kept = [], 0  # the slots of the levels that keep their columns
     for k in np.argsort(firsts).tolist():
@@ -453,27 +442,29 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
     def scan(lo, hi):
         return [np.flatnonzero(rows[firsts[k]] != NEG_INF) for k in levels[lo:hi]]
 
-    scanned = _for_row_blocks(len(levels), n, scan, threads=threads)
+    scanned = _for_row_blocks(len(levels), n, scan)
     columns = dict(zip(levels, itertools.chain.from_iterable(scanned)))
     del firsts, scanned
-    # Whole rows go in blocks of about _BLOCK_ENTRIES entries, and each run
-    # of whole blocks has scratch made before any starts, so the working
-    # set is the same at any batch. A block whose live entries are exactly
-    # its rows' level columns is gathered by those, each row's in the order
-    # a scan finds them, so both give the same segments; other blocks are
-    # scanned. The segments collect in float64, in row order, until the
-    # next would not fit, then are reduced together.
+    # Whole rows go in blocks of about _BLOCK_ENTRIES entries, shared out
+    # as at most _LOSS_RUNS runs, each one row of the runner with its own
+    # scratch made before any starts: the working set is the same at any
+    # batch and CPU count, and no two runs share scratch. A block whose
+    # live entries are exactly its rows' level columns is gathered by
+    # those, each row's in the order a scan finds them, so both give the
+    # same segments; other blocks are scanned. The segments collect in
+    # float64, in row order, until the next would not fit, then are
+    # reduced together.
     step = max(1, tree._BLOCK_ENTRIES // n)
     num_blocks = -(-num_rows // step)
     per_block = min(step, num_rows)
     size = max(n, per_block * max(c.size for c in columns.values()))
-    threads = min(threads, num_blocks)
-    spare = [(np.empty((per_block, n), bool), np.empty(size)) for _ in range(threads)]
+    runs = min(_workers(), _LOSS_RUNS, num_blocks)
+    scratch = [(np.empty((per_block, n), bool), np.empty(size)) for _ in range(runs)]
     lse = np.empty(num_rows)
 
-    def run(first_block, last_block):
-        scratch = spare.pop()  # atomic: no two runs share a scratch
-        marks, vals = scratch
+    def run(r, _):
+        marks, vals = scratch[r]
+        first_block = num_blocks * r // runs
         at, counts, start = 0, [], first_block * step  # held: rows from start on
 
         def flush():
@@ -482,34 +473,31 @@ def cross_entropy(flat: FlatTrainingSet) -> LossResult:
             at, start = 0, start + len(counts)
             counts.clear()
 
-        try:
-            for i in range(first_block, last_block):
-                lo = i * step
-                block = rows[lo : lo + step]
-                live = marks[: block.shape[0]]
-                np.not_equal(block, NEG_INF, out=live)
-                count = np.count_nonzero(live)
-                if at and at + count > size:  # a gathered block fits an empty buffer
-                    flush()
-                cols = [columns.get(k) for k in slots[lo : lo + step].tolist()]
-                found = _gather_by_level(block, cols, count, vals[at:])
-                if found is not None:
-                    counts.extend(found)
-                    at += count
-                    continue
-                for row, keep in zip(block, live):
-                    seg = row[keep]
-                    if at + seg.size > size:
-                        flush()
-                    vals[at : at + seg.size] = seg
-                    at += seg.size
-                    counts.append(seg.size)
-            if counts:
+        for i in range(first_block, num_blocks * (r + 1) // runs):
+            lo = i * step
+            block = rows[lo : lo + step]
+            live = marks[: block.shape[0]]
+            np.not_equal(block, NEG_INF, out=live)
+            count = np.count_nonzero(live)
+            if at and at + count > size:  # a gathered block fits an empty buffer
                 flush()
-        finally:
-            spare.append(scratch)
+            cols = [columns.get(k) for k in slots[lo : lo + step].tolist()]
+            found = _gather_by_level(block, cols, count, vals[at:])
+            if found is not None:
+                counts.extend(found)
+                at += count
+                continue
+            for row, keep in zip(block, live):
+                seg = row[keep]
+                if at + seg.size > size:
+                    flush()
+                vals[at : at + seg.size] = seg
+                at += seg.size
+                counts.append(seg.size)
+        if counts:
+            flush()
 
-    _for_row_blocks(num_blocks, tree._BLOCK_ENTRIES, run, per_thread=True, threads=threads)
+    _for_row_blocks(runs, tree._BLOCK_ENTRIES, run)
     per_row = lse - label_scores
     if not np.isfinite(per_row).all():
         i = int(np.argmax(~np.isfinite(per_row)))

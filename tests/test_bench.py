@@ -79,13 +79,12 @@ class TestRunBench:
             run_bench(small_encoding, 10**12, 3)
 
     def test_memory_estimate_follows_the_blocked_loss(self, small_encoding, monkeypatch):
-        # The scores, the partitioned tensor, the flattened rows and the
-        # loss's scratch; no longer a third tensor's worth for the loss,
-        # which at batch 2000 is more than its scratch.
+        # The scores, the partitioned tensor and the flattened rows; no
+        # longer a third tensor's worth for the loss, whose scratch is a
+        # fixed size at any batch.
         batch, n, L = 2000, small_encoding.num_classes, small_encoding.num_levels
         scores, parts = bench.scores_bytes(batch, n), bench.partitioned_bytes(batch, L, n)
-        widest = int(np.bincount(small_encoding.level_of).max())
-        new = scores + 2 * parts + transforms._loss_scratch_bytes(n, widest)
+        new = scores + 2 * parts
         old = scores + 3 * parts
         assert new < old
         monkeypatch.setattr(transforms, "_available_bytes", lambda: new - 1)

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import functools
+import itertools
 import multiprocessing
 import sys
 import threading
@@ -305,25 +306,33 @@ def test_every_block_runs_and_the_first_failure_is_raised(monkeypatch):
     assert transforms._for_row_blocks(30, 1, fn) == [0, 7, 15, 22]
 
 
-def test_a_thread_count_caps_the_blocks_in_flight(monkeypatch):
-    # The loss passes the number of scratch sets it made; more CPUs than
-    # that must not put more blocks in flight.
-    use(monkeypatch, 8, 10)
-    lock, now, most, seen = threading.Lock(), [0], [0], set()
+def test_the_loss_caps_its_runs_in_flight(monkeypatch):
+    # The loss makes one scratch set per run; more CPUs than _LOSS_RUNS
+    # must not put more of its runs in flight.
+    enc, scores, labels = inputs("10k")
+    flat = flatten_for_training(partition_scores(enc, scores), map_labels(enc, labels))
+    want = oracles.cross_entropy_whole_matrix(flat.rows, flat.labels)
+    use(monkeypatch, 8, 3 * enc.num_classes)
+    lock, now, most, gather = threading.Lock(), [0], [0], transforms._gather_by_level
 
-    def fn(lo, hi):
+    def spy(*args):
         with lock:
             now[0] += 1
             most[0] = max(most[0], now[0])
-            seen.add(threading.current_thread())
-        time.sleep(0.002)  # long enough for the helpers to overlap
+        time.sleep(0.001)  # long enough for the runs to overlap
         with lock:
             now[0] -= 1
-        return lo
+        return gather(*args)
 
-    got = transforms._for_row_blocks(100, 1, fn, threads=2)
-    assert got == sorted(got) and got[0] == 0
-    assert most[0] <= 2 and len(seen) == 2
+    monkeypatch.setattr(transforms, "_gather_by_level", spy)
+    np.testing.assert_array_equal(cross_entropy(flat).per_row, want)
+    assert 1 < most[0] <= transforms._LOSS_RUNS
+    # The loss and the runner read the thread count apart; whatever each
+    # reads, no two runs may share a scratch set.
+    counts = itertools.cycle([1, 8])
+    monkeypatch.setattr(transforms, "_workers", lambda: next(counts))
+    for _ in range(4):
+        np.testing.assert_array_equal(cross_entropy(flat).per_row, want)
 
 
 @pytest.mark.skipif(
@@ -359,6 +368,16 @@ def test_one_thread_starts_no_thread(monkeypatch):
     enc, scores, labels = inputs("10k")
     run_all(enc, scores[:8], labels[:8])
     assert started == []
+
+
+def test_no_more_helpers_than_blocks(monkeypatch):
+    use(monkeypatch, 8, None)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(
+        threading.Thread, "start", lambda self: (started.append(self), start(self))
+    )
+    assert transforms._for_row_blocks(2, tree._BLOCK_ENTRIES, lambda lo, hi: lo) == [0, 1]
+    assert len(started) == 1
 
 
 def test_no_helper_outlives_the_call(monkeypatch):
