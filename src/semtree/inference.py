@@ -6,18 +6,19 @@ zero. On top of that sit three decoders:
 
 * ``naive_decode``: per-level argmax, ignores tree structure entirely,
   so the levels of one sample may disagree on the branch taken.
-* ``beam_decode``: ranks every valid root-to-node path by its joint
-  log probability, or by its mean with ``length_normalize``, and
-  returns the exact top k.
+* ``beam_decode``: the exact top k valid root-to-node paths by joint
+  log probability, found by a width-k beam down the levels, or with
+  ``length_normalize`` by their mean, ranking every path.
 * ``levenshtein_decode``: repairs a naive sequence by ranking every
   valid ancestral path by edit distance to it. Each path extends its
   parent's, so the edit-distance columns are shared along the tree; a
   column is held as two words of L bits, so a sample costs n steps of a
   few word operations each, and there is no limit on the batch.
 
-Both path decoders fill (batch, n) arrays level by level, each path's
-entry from its parent's, and share one top-k routine. Ties go to the
-lexicographically smaller class sequence, so all are deterministic.
+The full rankings fill (batch, n) arrays level by level, each path's
+entry from its parent's, and share one top-k routine; the beam works on
+its kept paths alone. Ties go to the lexicographically smaller class
+sequence, so all are deterministic.
 """
 
 from dataclasses import dataclass
@@ -184,32 +185,46 @@ def _probabilities(enc: TreeEncoding, probs: LevelProbabilities, batch: tuple):
     return data
 
 
+def _own_probs(enc: TreeEncoding, data: np.ndarray, first: int, out=None):
+    """Each column's own-level probability, (batch, n) in the level layout,
+    for the (batch, L, n) probabilities of samples ``first`` on; written
+    to ``out`` when given.
+
+    Only the n own-level probabilities per sample are gathered; one that is
+    NaN or outside [0, 1] raises ``ParameterError``.
+    """
+    order = enc._layout.order
+    levels = enc.level_of[order].astype(np.intp)
+    # One flat gather gives contiguous rows, which np.partition needs to run
+    # fast (over strided rows it is ~7x slower). The indices are valid, so
+    # "clip" only spares take a buffer.
+    flat = data.reshape(data.shape[0], enc.num_levels * enc.num_classes)
+    p = np.take(flat, levels * enc.num_classes + order, axis=1, out=out, mode="clip")
+    if not (p.min() >= 0 and p.max() <= 1):  # NaN fails both
+        s, j = (int(x) for x in np.argwhere(~((p >= 0) & (p <= 1)))[0])
+        raise ParameterError(
+            f"sample {first + s}, level {levels[j] + 1}, class {order[j] + 1}: "
+            f"probability {p[s, j]} is outside [0, 1]"
+        )
+    return p
+
+
+def _log(p: np.ndarray) -> np.ndarray:
+    """log p in float64, -inf where p is 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(p, dtype=np.float64)
+
+
 def _path_scores(enc: TreeEncoding, data: np.ndarray, first: int) -> np.ndarray:
     """Every path's joint log probability, (batch, n) in the encoding's
     level layout, for the (batch, L, n) probabilities of samples ``first``
     on.
 
     score[:, c] = score[:, parent(c)] + log p[:, level(c), c], level by
-    level: the summation order of a root-to-leaf walk. Only the n
-    own-level probabilities per sample are gathered and logged; one that
-    is NaN or outside [0, 1] raises ``ParameterError``.
+    level: the summation order of a root-to-leaf walk.
     """
-    order, starts, up, _ = enc._layout
-    levels = enc.level_of[order].astype(np.intp)
-    # One flat gather gives contiguous rows, which np.partition needs to run
-    # fast (over strided rows it is ~7x slower).
-    flat = data.reshape(data.shape[0], enc.num_levels * enc.num_classes)
-    p = np.take(flat, levels * enc.num_classes + order, axis=1)
-    bad = ~((p >= 0) & (p <= 1))
-    if bad.any():
-        s, j = (int(x) for x in np.argwhere(bad)[0])
-        raise ParameterError(
-            f"sample {first + s}, level {levels[j] + 1}, class {order[j] + 1}: "
-            f"probability {p[s, j]} is outside [0, 1]"
-        )
-    score = p.astype(np.float64)
-    with np.errstate(divide="ignore"):
-        np.log(score, out=score)
+    _, starts, up, _ = enc._layout
+    score = _log(_own_probs(enc, data, first))
     for d in range(1, enc.num_levels):
         lo, hi = starts[d], starts[d + 1]
         score[:, lo:hi] += np.take(score, up[lo:hi], axis=1)
@@ -236,7 +251,7 @@ def _ranked(
     key is the path's rank among all paths in lexicographic order.
     ``score`` and ``dist`` (same layout) fill the fields of the same name.
     """
-    order, _, _, rank = enc._layout
+    rank = enc._layout.rank
     b, n = primary.shape
     if key is None:
         key = np.broadcast_to(rank, (b, n))
@@ -257,22 +272,86 @@ def _ranked(
         keep = ahead | (at & ~(key > tied[:, k - 1 : k]))
     # Row-major, as np.nonzero gives them, which is slower on a 2-d mask.
     s, c = np.divmod(np.flatnonzero(keep), n)
-    classes = order[c]
     # Paths are distinct, and rank orders them as the paths themselves.
     ranked = np.lexsort((rank[c], key[s, c], primary[s, c], s))
     top = ranked[np.searchsorted(s, np.arange(b))[:, None] + np.arange(k)]
-    s, c, classes = s[top], c[top], classes[top]
-    blank = np.full((b, k), None)
+    s, c = s[top], c[top]
+    score = None if score is None else score[s, c]
+    return _paths(enc, c, score, None if dist is None else dist[s, c])
+
+
+def _paths(enc: TreeEncoding, cols, score, dist) -> list[list[DecodedPath]]:
+    """The paths ending at the (batch, k) layout columns ``cols``, each
+    sample's in the given order, with ``score`` and ``dist`` (same shape,
+    or None to leave the field unset)."""
+    classes = enc._layout.order[cols]
+    blank = np.full(cols.shape, None)
     samples = zip(
         enc.paths[classes].tolist(),
         (enc.level_of[classes] + 1).tolist(),
-        (blank if score is None else score[s, c]).tolist(),
-        (blank if dist is None else dist[s, c]).tolist(),
+        (blank if score is None else score).tolist(),
+        (blank if dist is None else dist).tolist(),
     )
     return [
         [DecodedPath(tuple(p[:w]), sc, d) for p, w, sc, d in zip(*sample)]
         for sample in samples
     ]
+
+
+def _best(b: int, k: int, s, score):
+    """Each of b samples' k best entries: the highest scores, ties to the
+    earlier entry.
+
+    Entry i belongs to sample s[i], with s sorted, and has score score[i].
+    Returns the (b, at most k) entry numbers, each sample's best first, and
+    a mask that is False past the entries of a sample that has fewer.
+    """
+    first = np.searchsorted(s, np.arange(b + 1))
+    place = np.arange(s.size) - first[s]
+    # A stable sort per sample, padded with +inf, which sorts after every
+    # entry (+inf too, since the entries come first).
+    negated = np.full((b, np.diff(first).max()), np.inf)
+    negated[s, place] = -score
+    top = np.argsort(negated, axis=1, kind="stable")[:, :k]
+    return first[:-1, None] + top, top < np.diff(first)[:, None]
+
+
+def _beam(enc: TreeEncoding, p: np.ndarray, k: int) -> list[list[DecodedPath]]:
+    """``beam_decode``'s beam, from the (batch, n) own-level probabilities
+    ``p`` in the level layout. Ties go to the smaller path rank.
+
+    Only the candidates' probabilities are logged, and a child's score is
+    its parent's plus its own log probability, the sum ``_path_scores``
+    makes, so the scores are the same bit for bit.
+    """
+    _, starts, _, rank = enc._layout
+    ptr, kids = enc._children
+    b, n = p.shape
+    k = min(k, n)
+    # Flat candidates, each sample's in path-rank order: the roots first.
+    roots = starts[1]
+    s = np.repeat(np.arange(b), roots)
+    c = np.tile(np.arange(roots), b)
+    score = _log(p[:, :roots].ravel())
+    kept = []
+    while s.size:
+        at, real = _best(b, k, s, score)
+        at = np.sort(at[real])  # back in (sample, path rank) order
+        s, c, score = s[at], c[at], score[at]
+        kept.append((s, c, score))
+        # The children of every kept path, in path-rank order: those of a
+        # path in column order, and a path's subtree ranks before the next.
+        count = ptr[c + 1] - ptr[c]
+        at = np.repeat(ptr[c] - np.cumsum(count) + count, count)
+        c = kids[at + np.arange(at.size)]
+        s = np.repeat(s, count)
+        score = np.repeat(score, count) + _log(p[s, c])
+    # The kept paths hold the global top k, so each sample has at least k.
+    s, c, score = (np.concatenate(a) for a in zip(*kept))
+    at = np.argsort(s * n + rank[c])
+    s, c, score = s[at], c[at], score[at]
+    at, _ = _best(b, k, s, score)
+    return _paths(enc, c[at], score[at], None)
 
 
 def beam_decode(
@@ -286,21 +365,35 @@ def beam_decode(
 
     A path's score is the sum of the log probabilities of its classes,
     each taken from the level slice of that class's depth; every class
-    ends one candidate path. All n paths are ranked, by score or, with
-    ``length_normalize``, by score / length, so the top k is exact
-    either way. Unnormalized, it is what a width-k beam keeps: log
-    probabilities are at most 0, so every ancestor of a top-k path is
-    in the top k of its own level.
+    ends one candidate path. Unnormalized, a width-k beam runs down the
+    levels: each keeps a sample's k best paths among the children of the
+    ones kept above, and then the kept paths of all levels are ranked
+    together. That is exact: log probabilities are at most 0 and a path
+    ranks after its ancestors, so every ancestor of a top-k path is itself
+    in the top k. With ``length_normalize`` paths are ranked by score /
+    length, which is not monotone that way, so all n paths are ranked.
     """
     _check_count("beam width", k)
     data = _probabilities(enc, probs, probs.data.shape[:1])
+    if not length_normalize:
+        # The gather and check run in blocks on every core. The beam's cost
+        # is Python steps per level, not per sample, so it runs once for the
+        # whole batch, on this thread.
+        enc._children  # built once here, before any helper thread
+        b = data.shape[0]
+        p = np.empty((b, enc.num_classes), dtype=data.dtype)
+        _for_row_blocks(
+            b,
+            enc.num_classes,
+            lambda lo, hi: _own_probs(enc, data[lo:hi], lo, out=p[lo:hi]),
+            per_thread=True,
+        )
+        return _beam(enc, p, k) if b else []
 
     def decode(lo, hi):
         score = _path_scores(enc, data[lo:hi], lo)
-        primary = -score
-        if length_normalize:
-            primary /= enc.level_of[enc._layout.order] + 1
-        return _ranked(enc, primary, None, k, score=score)
+        length = enc.level_of[enc._layout.order] + 1
+        return _ranked(enc, -score / length, None, k, score=score)
 
     return _by_samples(enc, data.shape[0], decode)
 
@@ -326,33 +419,35 @@ def _scan_levels(enc: TreeEncoding, naive: np.ndarray) -> np.ndarray:
     words = (np.uint8, np.uint16, np.uint32, np.uint64)
     word = next((w for w in words if np.iinfo(w).bits >= L), object)
     bit = np.array([1 << i for i in range(L)], dtype=word)
-    # eqs[s, j]: bit i set where naive entry i of sample s is column j's class.
+    # Every array is class-major, (columns, b), so each gather below copies
+    # whole rows. eqs[j, s]: bit i set where naive entry i of sample s is
+    # column j's class.
     col = np.empty(enc.num_classes, dtype=np.intp)
     col[order] = np.arange(enc.num_classes)
-    eqs = np.zeros((b, enc.num_classes), dtype=word)
-    np.bitwise_or.at(eqs, (np.arange(b)[:, None], col[naive]), bit)
+    eqs = np.zeros((enc.num_classes, b), dtype=word)
+    np.bitwise_or.at(eqs, (col[naive], np.arange(b)[:, None]), bit)
     # The empty path: i deletions from the first i naive entries.
     pv, mv = np.array((1 << L) - 1, dtype=word), np.array(0, dtype=word)
     score, top = dtype(L), bit[-1]
-    dist = np.empty((b, enc.num_classes), dtype=dtype)
+    dist = np.empty((enc.num_classes, b), dtype=dtype)
     for d in range(L):
         lo, hi = starts[d], starts[d + 1]
         if d:
             parent = up[lo:hi] - starts[d - 1]
-            pv, mv = np.take(pv, parent, axis=1), np.take(mv, parent, axis=1)
-            score = np.take(dist, up[lo:hi], axis=1)
-        eq = eqs[:, lo:hi]
+            pv, mv = np.take(pv, parent, axis=0), np.take(mv, parent, axis=0)
+            score = np.take(dist, up[lo:hi], axis=0)
+        eq = eqs[lo:hi]
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
         # The bottom row, at bit L - 1, is the distance to the whole sequence.
-        np.add(score, (ph & top) != 0, out=dist[:, lo:hi])
-        dist[:, lo:hi] -= (mh & top) != 0
+        np.add(score, (ph & top) != 0, out=dist[lo:hi])
+        dist[lo:hi] -= (mh & top) != 0
         ph = (ph << 1) | 1
         pv = (mh << 1) | ~(xv | ph)
         mv = ph & xv
-    return dist
+    return np.ascontiguousarray(dist.T)
 
 
 def levenshtein_decode(

@@ -276,15 +276,18 @@ def partition_scores(
     (b, n), L = scores.shape, enc.num_levels
     _check_memory("partition_scores", b * L * n * scores.itemsize)
     data = np.empty((b, L * n), dtype=scores.dtype)
-    # Class c's score goes to column c of slice level_of[c]. Indexing rows
-    # too makes numpy fill one row at a time; ``data[:, idx]`` would fill
+    # Class c's score goes to column c of slice level_of[c]. Each block is
+    # one 1-d scatter, numpy's fast path, through a flat index over the most
+    # rows that _for_row_blocks gives a block; ``data[:, idx]`` would fill
     # one column at a time, touching b cache lines per class. A block is
     # filled with the mask value just before its scatter, while in cache.
+    rows = min(b, max(1, tree._BLOCK_ENTRIES // (L * n)))
     idx = enc.level_of.astype(np.intp) * n + np.arange(n)
+    idx = (np.arange(rows)[:, None] * (L * n) + idx).ravel()
 
     def fill(lo, hi):
         data[lo:hi] = mask_value
-        data[lo:hi][np.arange(hi - lo)[:, None], idx] = scores[lo:hi]
+        data[lo:hi].reshape(-1)[idx[: (hi - lo) * n]] = scores[lo:hi].reshape(-1)
 
     _for_row_blocks(b, L * n, fill)
     return PartitionedScores(data=data.reshape(b, L, n), mask_value=mask_value)

@@ -192,6 +192,18 @@ class TreeEncoding:
             a.flags.writeable = False
         return layout
 
+    @functools.cached_property
+    def _children(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ptr, kids)``: the children of layout column j are the columns
+        ``kids[ptr[j]:ptr[j + 1]]``, ascending, and the roots are
+        ``kids[:ptr[0]]``. Computed on first use, then kept read-only."""
+        up = self._layout.up
+        kids = np.argsort(up, kind="stable")
+        ptr = np.cumsum(np.bincount(up + 1, minlength=self.num_classes + 1))
+        for a in (ptr, kids):
+            a.flags.writeable = False
+        return ptr, kids
+
 
 @dataclass(frozen=True)
 class Violation:

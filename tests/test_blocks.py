@@ -117,13 +117,22 @@ def test_every_kernel_equals_one_whole_block(monkeypatch, name, setting):
     assert_same(run_all(enc, scores, labels), want)
 
 
-@pytest.mark.parametrize("setting", SETTINGS, ids=SETTING_IDS)
+# fuzz-0's 23 rows hold 378 entries each, so blocks of 2,000 entries on one
+# thread are four of five rows and a short last one of three.
+SHORT_LAST = (1, 2_000)
+
+
+@pytest.mark.parametrize(
+    "setting", SETTINGS + [SHORT_LAST], ids=SETTING_IDS + ["1-thread-short-last"]
+)
 def test_blocks_match_the_references(monkeypatch, setting):
     use(monkeypatch, *setting)
     enc, scores, _ = inputs("fuzz-0")
+    assert scores.shape == (23, 63) and enc.num_levels == 6
+    for batch in (scores, scores[:, ::-1], np.asfortranarray(scores)):
+        want = oracles.partition_by_columns(enc, batch, -np.inf)
+        assert np.array_equal(partition_scores(enc, batch).data, want)
     parts = partition_scores(enc, scores)
-    want = oracles.partition_by_columns(enc, scores, -np.inf)
-    assert np.array_equal(parts.data, want)
     want = oracles.softmax_levels_reference(parts)
     assert np.array_equal(softmax_levels(parts).data, want)
 

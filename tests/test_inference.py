@@ -28,7 +28,8 @@ from semtree import (
     partition_scores,
     softmax_levels,
 )
-from semtree.inference import _scan_levels
+from semtree import transforms
+from semtree.inference import _path_scores, _ranked, _scan_levels
 
 
 def random_probs(rng, enc, batch=3):
@@ -349,6 +350,63 @@ class TestBeamDecode:
         data[1, 1, 4] = np.nan  # class 5 sits on level 2
         with pytest.raises(ParameterError, match="sample 1, level 2, class 5"):
             beam_decode(toy_encoding, LevelProbabilities(data=data), k=2)
+
+
+def quantised_probs(rng, enc, batch):
+    """Own-level probabilities from a few values, zero among them, so that
+    many path scores tie exactly and some are -inf; 0 elsewhere."""
+    n = enc.num_classes
+    dtype = np.float32 if rng.random() < 0.5 else np.float64
+    data = np.zeros((batch, enc.num_levels, n), dtype=dtype)
+    values = [0.0, 0.125, 0.25, 0.5, 1.0]
+    data[:, enc.level_of, np.arange(n)] = rng.choice(values, size=(batch, n))
+    return LevelProbabilities(data=data)
+
+
+class TestPrunedBeam:
+    """Unnormalized, the beam keeps k paths a level; the full route scores
+    and ranks all n. They must agree bit for bit."""
+
+    def test_equals_the_full_ranking_on_random_forests(self):
+        rng = np.random.default_rng(53)
+        for _ in range(150):
+            depth = int(rng.integers(1, 7))  # depth 1: every class a root
+            tax = random_taxonomy(rng, max_classes=60, max_depth=depth)
+            enc = encode(tax)
+            n = enc.num_classes
+            probs = quantised_probs(rng, enc, batch=int(rng.integers(1, 5)))
+            logp = log_probs(probs)
+            score = _path_scores(enc, probs.data, 0)
+            for k in {1, 2, int(rng.integers(1, n + 3)), n, n + 2}:
+                got = beam_decode(enc, probs, k)
+                assert got == _ranked(enc, -score, None, k, score=score)
+                for i, sample in enumerate(got):
+                    want = oracles.exhaustive_ranking(tax.parents, logp[i], k)
+                    assert [(h.score, h.classes) for h in sample] == want
+
+    @pytest.mark.parametrize("value", [np.nan, -0.25, 1.5])
+    def test_rejects_a_bad_probability_as_the_full_route_does(
+        self, monkeypatch, toy_encoding, value
+    ):
+        # Two threads take samples 0-1 and 2-3; the first bad entry, in
+        # sample 1, is reported, not the one in sample 3.
+        monkeypatch.setattr(transforms, "_workers", lambda: 2)
+        data = random_probs(np.random.default_rng(54), toy_encoding, batch=4).data
+        data = data.copy()
+        data[1, 2, 7] = value  # class 8 sits on level 3
+        data[3, 0, 0] = value
+        probs = LevelProbabilities(data=data)
+        messages = []
+        for norm in (False, True):
+            with pytest.raises(ParameterError, match="sample 1, level 3, class 8") as e:
+                beam_decode(toy_encoding, probs, k=2, length_normalize=norm)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("norm", [False, True])
+    def test_empty_batch(self, toy_encoding, norm):
+        probs = LevelProbabilities(data=np.zeros((0, 3, 9)))
+        assert beam_decode(toy_encoding, probs, k=2, length_normalize=norm) == []
 
 
 class TestLevenshteinFunction:

@@ -507,6 +507,29 @@ class TestLevelLayout:
             with pytest.raises(ValueError):
                 a[...] = 0
 
+    def test_children_index(self):
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            enc = st.encode(random_taxonomy(rng, max_classes=200, max_depth=6))
+            up = enc._layout.up
+            ptr, kids = enc._children
+            assert len(ptr) == enc.num_classes + 1
+            np.testing.assert_array_equal(kids[: ptr[0]], np.flatnonzero(up == -1))
+            for j in range(enc.num_classes):
+                np.testing.assert_array_equal(
+                    kids[ptr[j] : ptr[j + 1]], np.flatnonzero(up == j)
+                )
+
+    def test_children_index_is_read_only(self, toy_encoding):
+        ptr, kids = toy_encoding._children
+        # Columns 0, 1 and 3 have children (2-3, 4-5 and 6-8).
+        np.testing.assert_array_equal(ptr, [2, 4, 6, 6, 9, 9, 9, 9, 9, 9])
+        np.testing.assert_array_equal(kids, np.arange(9))
+        for a in (ptr, kids):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
     def test_equality_and_bytes_ignore_it(self, toy_taxonomy):
         a, b = st.encode(toy_taxonomy), st.encode(toy_taxonomy)
         data = st.serialize(a)
