@@ -211,8 +211,6 @@ def _check_range(name: str, a: np.ndarray, spec: _Array) -> None:
                     f"is beyond float32's range"
                 )
         return
-    if spec.low is None:
-        return
     shift = 1 if spec.ids else 0
     high = None if spec.high is None else spec.high - shift
     if message := _outside(a, f"{name} entry", spec.low - shift, high, spec.pad):
@@ -381,7 +379,8 @@ def read_scores(path: Pathish) -> np.ndarray:
     if not _is_csv(path):
         (scores,) = _read_file(path, _read, _FORMATS["scores"])
         return scores
-    _check_csv_size(path, "scores", lambda line: line.count(b",") + 1)
+    if not _check_csv_size(path, "scores", lambda line: line.count(b",") + 1):
+        raise FormatError(f"{path}: no data lines, so the score count is unknown")
     try:
         return np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
     except ValueError as e:
@@ -409,8 +408,9 @@ def _check_csv_size(
     noun: str,
     fields: Callable[[bytes], int],
     one_per_line: bool = False,
-) -> None:
-    """Refuse a CSV beyond ``CSV_ELEMENT_CAP`` values before parsing it.
+) -> int:
+    """Refuse a CSV beyond ``CSV_ELEMENT_CAP`` values before parsing it,
+    and return its number of data lines.
 
     Counts the data lines (not blank, not a ``#`` comment, as ``loadtxt``
     skips) times the first one's ``fields``, counted the way the caller's
@@ -441,6 +441,7 @@ def _check_csv_size(
                 )
             rows += ahead
             lines += chunk.count(b"\n")
+    return rows
 
 
 # -- flat labels -------------------------------------------------------------
@@ -461,7 +462,10 @@ def read_labels(path: Pathish) -> np.ndarray:
     if not _is_csv(path):
         (labels,) = _read_file(path, _read, _FORMATS["labels"])
         return labels
-    _check_csv_size(path, "labels", lambda line: len(line.split()), one_per_line=True)
+    if not _check_csv_size(
+        path, "labels", lambda line: len(line.split()), one_per_line=True
+    ):
+        return np.empty(0, dtype=np.int64)
     try:
         labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
         (spec,) = _FORMATS["labels"].layout(labels.size)

@@ -223,7 +223,7 @@ def _path_scores(enc: TreeEncoding, data: np.ndarray, first: int) -> np.ndarray:
     score[:, c] = score[:, parent(c)] + log p[:, level(c), c], level by
     level: the summation order of a root-to-leaf walk.
     """
-    _, starts, up, _ = enc._layout
+    _, starts, up, *_ = enc._layout
     score = _log(_own_probs(enc, data, first))
     for d in range(1, enc.num_levels):
         lo, hi = starts[d], starts[d + 1]
@@ -324,8 +324,7 @@ def _beam(enc: TreeEncoding, p: np.ndarray, k: int) -> list[list[DecodedPath]]:
     its parent's plus its own log probability, the sum ``_path_scores``
     makes, so the scores are the same bit for bit.
     """
-    _, starts, _, rank = enc._layout
-    ptr, kids = enc._children
+    _, starts, _, rank, ptr, kids, _ = enc._layout
     b, n = p.shape
     k = min(k, n)
     # Flat candidates, each sample's in path-rank order: the roots first.
@@ -379,7 +378,7 @@ def beam_decode(
         # The gather and check run in blocks on every core. The beam's cost
         # is Python steps per level, not per sample, so it runs once for the
         # whole batch, on this thread.
-        enc._children  # built once here, before any helper thread
+        enc._layout  # built once here, before any helper thread
         b = data.shape[0]
         p = np.empty((b, enc.num_classes), dtype=data.dtype)
         _for_row_blocks(
@@ -412,7 +411,7 @@ def _scan_levels(enc: TreeEncoding, naive: np.ndarray) -> np.ndarray:
     whose infinite two's complement keeps the same operations right. Bits
     from L up only carry and shift upwards, so they never reach bit L - 1.
     """
-    order, starts, up, _ = enc._layout
+    _, starts, up, *_, col = enc._layout
     b, L = naive.shape
     # A distance between sequences of at most L entries never exceeds L.
     dtype = np.int16 if L < np.iinfo(np.int16).max else np.int32
@@ -422,8 +421,6 @@ def _scan_levels(enc: TreeEncoding, naive: np.ndarray) -> np.ndarray:
     # Every array is class-major, (columns, b), so each gather below copies
     # whole rows. eqs[j, s]: bit i set where naive entry i of sample s is
     # column j's class.
-    col = np.empty(enc.num_classes, dtype=np.intp)
-    col[order] = np.arange(enc.num_classes)
     eqs = np.zeros((enc.num_classes, b), dtype=word)
     np.bitwise_or.at(eqs, (col[naive], np.arange(b)[:, None]), bit)
     # The empty path: i deletions from the first i naive entries.

@@ -102,22 +102,25 @@ def _as_int32(name: str, a) -> np.ndarray:
 
 
 class _Layout(NamedTuple):
-    """The classes sorted by level: the columns of the decoders' (batch, n)
-    arrays. Every level is one slice whose parents lie in the slice before."""
+    """The decoders' one index over the classes sorted by level, the columns
+    of their (batch, n) arrays. Every level is one slice of columns."""
 
     order: np.ndarray  # column j holds class order[j]
     starts: np.ndarray  # level d is columns starts[d]:starts[d + 1]; L + 1 entries
     up: np.ndarray  # each column's parent column, -1 for roots
     rank: np.ndarray  # each column's path rank in lexicographic order
+    ptr: np.ndarray  # column j's children: kids[ptr[j]:ptr[j + 1]]; roots kids[:ptr[0]]
+    kids: np.ndarray  # columns by parent, so level d is kids[starts[d]:starts[d + 1]]
+    col: np.ndarray  # each class's column, and col[NO_PARENT] = -1; n + 1 entries
 
 
 @dataclass(frozen=True, eq=False)
 class TreeEncoding:
     """Immutable encoded forest: the mask and path matrices.
 
-    Everything else (the class and level counts, each class's level) is
-    derived from the two. Arrays are marked read-only so an encoding can
-    be shared freely across threads.
+    Everything else (the class and level counts, each class's level, the
+    decoders' one layout) is derived from the two. Arrays are marked
+    read-only so an encoding can be shared freely across threads.
     """
 
     masks: np.ndarray  # bool (num_levels, num_classes), True = excluded
@@ -185,24 +188,24 @@ class TreeEncoding:
         # One extra slot maps NO_PARENT (-1) to column -1.
         col = np.full(n + 1, -1, dtype=np.intp)
         col[order] = np.arange(n)
-        rank = np.empty(n, dtype=np.intp)
-        rank[np.lexsort(self.paths.T[::-1])] = np.arange(n)
-        layout = _Layout(order, starts, col[recover_parents(self)[order]], rank[order])
+        up = col[recover_parents(self)[order]]
+        kids = np.argsort(up, kind="stable")
+        ptr = np.cumsum(np.bincount(up + 1, minlength=n + 1))
+        # Lexicographic path order is preorder with children in column order:
+        # a path ranks after its parent and its earlier siblings' subtrees.
+        levels = list(zip(starts[1:-1], starts[2:]))  # below the roots
+        size = np.ones(n, dtype=np.intp)
+        for lo, hi in levels[::-1]:
+            np.add.at(size, up[lo:hi], size[lo:hi])
+        ahead = np.cumsum(size[kids]) - size[kids]  # kids[:i]'s subtree sizes, summed
+        rank = ahead.copy()  # right for the roots, columns kids[:ptr[0]]
+        for lo, hi in levels:
+            j = kids[lo:hi]
+            rank[j] = rank[up[j]] + 1 + ahead[lo:hi] - ahead[ptr[up[j]]]
+        layout = _Layout(order, starts, up, rank, ptr, kids, col)
         for a in layout:
             a.flags.writeable = False
         return layout
-
-    @functools.cached_property
-    def _children(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(ptr, kids)``: the children of layout column j are the columns
-        ``kids[ptr[j]:ptr[j + 1]]``, ascending, and the roots are
-        ``kids[:ptr[0]]``. Computed on first use, then kept read-only."""
-        up = self._layout.up
-        kids = np.argsort(up, kind="stable")
-        ptr = np.cumsum(np.bincount(up + 1, minlength=self.num_classes + 1))
-        for a in (ptr, kids):
-            a.flags.writeable = False
-        return ptr, kids
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,7 @@ def scan_levels_reference(enc, naive):
     """Every path's edit distance to each naive sequence, (batch, n) in the
     encoding's level layout: the trie-shared int16 DP that the decoder used
     before its bit-parallel scan, L + 1 cells per (sample, path)."""
-    order, starts, up, _ = enc._layout
+    order, starts, up, *_ = enc._layout
     b, L = naive.shape
     # A cell is an edit distance between sequences of at most L entries, so
     # it never exceeds L, or L + 1 before a minimum.

@@ -165,6 +165,13 @@ class TestScoreFiles:
         p.write_text("# two samples\n1.5,2\n\n3,4  # last\n")
         np.testing.assert_array_equal(fileio.read_scores(p), [[1.5, 2], [3, 4]])
 
+    def test_csv_without_data_lines_names_the_file(self, tmp_path):
+        # No data line gives no width; loadtxt once warned and read (0, 1).
+        p = tmp_path / "empty.csv"
+        p.write_text("# nothing\n\n")
+        with pytest.raises(FormatError, match="^" + re.escape(f"{p}: no data lines")):
+            fileio.read_scores(p)
+
     def test_csv_malformed(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("1.0,oops\n")
@@ -284,6 +291,13 @@ class TestLabelFiles:
             where = rf"labels\.csv: line {line} holds 3 labels"
             with pytest.raises(FormatError, match=where):
                 fileio.read_labels(p)
+
+    def test_csv_without_data_lines_holds_no_labels(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        for text in ("# nothing\n\n", ""):
+            p.write_text(text)
+            got = fileio.read_labels(p)
+            assert got.dtype == np.int64 and got.shape == (0,)
 
     def test_zero_on_disk_rejected(self, tmp_path):
         p = tmp_path / "labels.bin"

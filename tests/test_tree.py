@@ -473,22 +473,48 @@ class TestStorage:
             st.storage_bytes(toy_encoding, 1, -1)
 
 
+def shaped_forests(rng, count):
+    """``count`` forests of up to 200 classes: in turn random ones, roots
+    only, single chains and wide fans (one root over every other class)."""
+    for i in range(count):
+        n = int(rng.integers(1, 201))
+        parents = np.full(n, -1)
+        if i % 4 == 0:
+            yield random_taxonomy(rng, max_classes=200, max_depth=6)
+            continue
+        if i % 4 == 2:
+            chain = rng.permutation(n)
+            parents[chain[1:]] = chain[:-1]
+        elif i % 4 == 3:
+            root = int(rng.integers(n))
+            parents[:] = root
+            parents[root] = -1
+        yield st.Taxonomy(parents=parents)
+
+
+def lexsort_rank(enc):
+    """Each layout column's rank among all paths in lexicographic order."""
+    rank = np.empty(enc.num_classes, dtype=np.intp)
+    rank[np.lexsort(enc.paths.T[::-1])] = np.arange(enc.num_classes)
+    return rank[enc._layout.order]
+
+
 class TestLevelLayout:
     def test_toy_layout(self, toy_encoding):
         # Paths in lexicographic order: 1, 1-3, 1-4, 1-4-7, 1-4-8, 1-4-9, 2,
         # 2-5, 2-6. The toy's classes are already in level order.
-        order, starts, up, rank = toy_encoding._layout
+        order, starts, up, rank, *_, col = toy_encoding._layout
         np.testing.assert_array_equal(order, np.arange(9))
         np.testing.assert_array_equal(starts, [0, 2, 6, 9])
         np.testing.assert_array_equal(up, [-1, -1, 0, 0, 1, 1, 3, 3, 3])
         np.testing.assert_array_equal(rank, [0, 6, 1, 2, 7, 8, 3, 4, 5])
+        np.testing.assert_array_equal(col, [0, 1, 2, 3, 4, 5, 6, 7, 8, -1])
 
     def test_matches_definition_on_random_forests(self):
         rng = np.random.default_rng(17)
-        for _ in range(20):
-            tax = random_taxonomy(rng, max_classes=200, max_depth=6)
+        for tax in shaped_forests(rng, 240):
             enc = st.encode(tax)
-            order, starts, up, rank = enc._layout
+            order, starts, up, rank, *_, col = enc._layout
             for d in range(enc.num_levels):
                 np.testing.assert_array_equal(
                     order[starts[d] : starts[d + 1]], np.flatnonzero(enc.level_of == d)
@@ -500,6 +526,15 @@ class TestLevelLayout:
             paths = [tuple(oracles.path_of(tax.parents, c)) for c in order]
             lex = sorted(range(enc.num_classes), key=paths.__getitem__)
             np.testing.assert_array_equal(rank[lex], np.arange(enc.num_classes))
+            np.testing.assert_array_equal(col[order], np.arange(enc.num_classes))
+            assert col.size == enc.num_classes + 1 and col[st.NO_PARENT] == -1
+
+    def test_rank_is_the_lexsort_on_the_benchmark_trees(self, full_scale_tree):
+        spec = st.SyntheticTreeSpec(10_000, 8, seed=0)
+        small = st.encode(st.generate_synthetic(spec))
+        # A fresh copy, so the session's c08 encoding keeps no layout.
+        for enc in (small, dataclasses.replace(full_scale_tree["encoding"])):
+            np.testing.assert_array_equal(enc._layout.rank, lexsort_rank(enc))
 
     def test_arrays_are_read_only(self, toy_encoding):
         for a in toy_encoding._layout:
@@ -511,8 +546,7 @@ class TestLevelLayout:
         rng = np.random.default_rng(18)
         for _ in range(20):
             enc = st.encode(random_taxonomy(rng, max_classes=200, max_depth=6))
-            up = enc._layout.up
-            ptr, kids = enc._children
+            up, ptr, kids = enc._layout.up, enc._layout.ptr, enc._layout.kids
             assert len(ptr) == enc.num_classes + 1
             np.testing.assert_array_equal(kids[: ptr[0]], np.flatnonzero(up == -1))
             for j in range(enc.num_classes):
@@ -521,7 +555,7 @@ class TestLevelLayout:
                 )
 
     def test_children_index_is_read_only(self, toy_encoding):
-        ptr, kids = toy_encoding._children
+        ptr, kids = toy_encoding._layout.ptr, toy_encoding._layout.kids
         # Columns 0, 1 and 3 have children (2-3, 4-5 and 6-8).
         np.testing.assert_array_equal(ptr, [2, 4, 6, 6, 9, 9, 9, 9, 9, 9])
         np.testing.assert_array_equal(kids, np.arange(9))
