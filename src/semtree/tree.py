@@ -102,8 +102,8 @@ def _as_int32(name: str, a) -> np.ndarray:
 
 
 class _Layout(NamedTuple):
-    """The decoders' one index over the classes sorted by level, the columns
-    of their (batch, n) arrays. Every level is one slice of columns."""
+    """The decoders' one index: the classes sorted by level, their (batch, n)
+    arrays' columns. Each level is one slice; its parents lie in the one before."""
 
     order: np.ndarray  # column j holds class order[j]
     starts: np.ndarray  # level d is columns starts[d]:starts[d + 1]; L + 1 entries

@@ -166,7 +166,7 @@ class TestScoreFiles:
         np.testing.assert_array_equal(fileio.read_scores(p), [[1.5, 2], [3, 4]])
 
     def test_csv_without_data_lines_names_the_file(self, tmp_path):
-        # No data line gives no width; loadtxt once warned and read (0, 1).
+        # With no data line, the number of scores per sample is unknown.
         p = tmp_path / "empty.csv"
         p.write_text("# nothing\n\n")
         with pytest.raises(FormatError, match="^" + re.escape(f"{p}: no data lines")):

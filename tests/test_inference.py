@@ -630,8 +630,8 @@ class TestLevenshteinDecode:
 
 
 def test_second_call_on_one_encoding_is_identical():
-    # The first decode on an encoding computes its level layout; the second
-    # reads it back.
+    # The first decode on an encoding computes its level layout, the
+    # decoders' one derived index besides level_of; the second reads it back.
     rng = np.random.default_rng(52)
     for _ in range(10):
         tax = random_taxonomy(rng, max_classes=80, max_depth=6)
@@ -645,24 +645,6 @@ def test_second_call_on_one_encoding_is_identical():
         ):
             enc = encode(tax)
             first = decode(enc)
+            assert set(vars(enc)) == {"masks", "paths", "level_of", "_layout"}
             assert decode(enc) == first
 
-
-FOUR_DECODES = {
-    "beam": lambda enc, probs, naive: beam_decode(enc, probs, k=2),
-    "beam-normalized": lambda enc, probs, naive: beam_decode(
-        enc, probs, k=2, length_normalize=True
-    ),
-    "levenshtein": lambda enc, probs, naive: levenshtein_decode(enc, naive, k=2),
-    "levenshtein-probs": lambda enc, probs, naive: levenshtein_decode(
-        enc, naive, k=2, probs=probs
-    ),
-}
-
-
-@pytest.mark.parametrize("decode", FOUR_DECODES)
-def test_decoders_derive_only_level_of_and_the_layout(toy_encoding, decode):
-    # The layout is the decoders' one index; no decoder caches another.
-    probs = random_probs(np.random.default_rng(53), toy_encoding)
-    FOUR_DECODES[decode](toy_encoding, probs, naive_decode(probs))
-    assert set(vars(toy_encoding)) == {"masks", "paths", "level_of", "_layout"}

@@ -492,13 +492,6 @@ def shaped_forests(rng, count):
         yield st.Taxonomy(parents=parents)
 
 
-def lexsort_rank(enc):
-    """Each layout column's rank among all paths in lexicographic order."""
-    rank = np.empty(enc.num_classes, dtype=np.intp)
-    rank[np.lexsort(enc.paths.T[::-1])] = np.arange(enc.num_classes)
-    return rank[enc._layout.order]
-
-
 class TestLevelLayout:
     def test_toy_layout(self, toy_encoding):
         # Paths in lexicographic order: 1, 1-3, 1-4, 1-4-7, 1-4-8, 1-4-9, 2,
@@ -534,7 +527,9 @@ class TestLevelLayout:
         small = st.encode(st.generate_synthetic(spec))
         # A fresh copy, so the session's c08 encoding keeps no layout.
         for enc in (small, dataclasses.replace(full_scale_tree["encoding"])):
-            np.testing.assert_array_equal(enc._layout.rank, lexsort_rank(enc))
+            rank = np.empty(enc.num_classes, dtype=np.intp)
+            rank[np.lexsort(enc.paths.T[::-1])] = np.arange(enc.num_classes)
+            np.testing.assert_array_equal(enc._layout.rank, rank[enc._layout.order])
 
     def test_arrays_are_read_only(self, toy_encoding):
         for a in toy_encoding._layout:
