@@ -16,9 +16,10 @@ zero. On top of that sit three decoders:
   few word operations each, and there is no limit on the batch.
 
 The full rankings fill (batch, n) arrays level by level, each path's
-entry from its parent's, and share one top-k routine; the beam works on
-its kept paths alone. Ties go to the lexicographically smaller class
-sequence, so all are deterministic.
+entry from its parent's. One top-k routine then gathers each sample's
+candidates, its paths no worse than the k-th, and cuts a tie at the k-th
+place on those alone; the beam works on its kept paths alone. Ties go to
+the lexicographically smaller class sequence, so all are deterministic.
 """
 
 from dataclasses import dataclass
@@ -245,35 +246,30 @@ def _by_samples(enc: TreeEncoding, b: int, decode) -> list[list[DecodedPath]]:
 def _ranked(
     enc: TreeEncoding, primary, key, k: int, score=None, dist=None
 ) -> list[list[DecodedPath]]:
-    """Each sample's k paths smallest by (primary, key, path), best first.
+    """Each sample's k paths smallest by primary, then largest by key (a
+    None key leaves ties to the path), then smallest by path, best first.
 
-    ``primary`` and ``key`` are (batch, n) in the level layout; a None
-    key is the path's rank among all paths in lexicographic order.
-    ``score`` and ``dist`` (same layout) fill the fields of the same name.
-    """
+    All are (batch, n) in the level layout; ``score`` and ``dist`` fill the
+    fields of the same name. Only each sample's candidates, its paths no
+    worse by primary than the k-th, are read past ``primary``."""
     rank = enc._layout.rank
     b, n = primary.shape
-    if key is None:
-        key = np.broadcast_to(rank, (b, n))
     k = min(k, n)
     # A copy, so the (b, n) array that np.partition returns is freed.
     kth = np.partition(primary, k - 1, axis=1)[:, k - 1 : k].copy()
-    keep = primary <= kth
-    # Every row keeps at least k paths; one that keeps more has a tie at the
-    # k-th place. Then keep the paths ahead of the k-th primary value, and of
-    # those at it, every one whose key is no worse than the one that fills the
-    # k-th place: with the ones ahead first, that key is the k-th smallest.
-    if np.count_nonzero(keep) > b * k:
-        ahead = primary < kth
-        at = primary == kth
-        tied = np.where(at, key, np.inf)
-        tied[ahead] = -np.inf
-        tied.partition(k - 1, axis=1)
-        keep = ahead | (at & ~(key > tied[:, k - 1 : k]))
     # Row-major, as np.nonzero gives them, which is slower on a 2-d mask.
-    s, c = np.divmod(np.flatnonzero(keep), n)
+    s, c = np.divmod(np.flatnonzero(primary <= kth), n)
+    p, tie = primary[s, c], rank[c] if key is None else -key[s, c]
+    # A sample with more than k candidates has a tie at the k-th place. Of
+    # the paths at it, keep each whose tie key is no worse than its row's
+    # k-th smallest, with the paths ahead of that place at -inf.
+    if s.size > b * k:
+        ahead_first = np.where(p < kth[s, 0], -np.inf, tie)
+        _, rows = _padded(b, s, ahead_first, np.inf)
+        keep = ahead_first <= np.partition(rows, k - 1, axis=1)[s, k - 1]
+        s, c, p, tie = s[keep], c[keep], p[keep], tie[keep]
     # Paths are distinct, and rank orders them as the paths themselves.
-    ranked = np.lexsort((rank[c], key[s, c], primary[s, c], s))
+    ranked = np.lexsort((rank[c], tie, p, s))
     top = ranked[np.searchsorted(s, np.arange(b))[:, None] + np.arange(k)]
     s, c = s[top], c[top]
     score = None if score is None else score[s, c]
@@ -298,6 +294,15 @@ def _paths(enc: TreeEncoding, cols, score, dist) -> list[list[DecodedPath]]:
     ]
 
 
+def _padded(b: int, s, values, fill):
+    """Entry i's ``values[i]`` in row s[i] (s sorted) of a (b, most entries)
+    matrix padded with ``fill``, and each row's first entry, then s.size."""
+    first = np.searchsorted(s, np.arange(b + 1))
+    rows = np.full((b, np.diff(first).max()), fill)
+    rows[s, np.arange(s.size) - first[s]] = values
+    return first, rows
+
+
 def _best(b: int, k: int, s, score):
     """Each of b samples' k best entries: the highest scores, ties to the
     earlier entry.
@@ -306,12 +311,9 @@ def _best(b: int, k: int, s, score):
     Returns the (b, at most k) entry numbers, each sample's best first, and
     a mask that is False past the entries of a sample that has fewer.
     """
-    first = np.searchsorted(s, np.arange(b + 1))
-    place = np.arange(s.size) - first[s]
     # A stable sort per sample, padded with +inf, which sorts after every
     # entry (+inf too, since the entries come first).
-    negated = np.full((b, np.diff(first).max()), np.inf)
-    negated[s, place] = -score
+    first, negated = _padded(b, s, -score, np.inf)
     top = np.argsort(negated, axis=1, kind="stable")[:, :k]
     return first[:-1, None] + top, top < np.diff(first)[:, None]
 
@@ -480,11 +482,8 @@ def levenshtein_decode(
     data = None if probs is None else _probabilities(enc, probs, naive.shape[:1])
 
     def decode(lo, hi):
-        if data is None:
-            dist = _scan_levels(enc, naive[lo:hi])
-            return _ranked(enc, dist, None, k, dist=dist)
-        score = _path_scores(enc, data[lo:hi], lo)
+        score = None if data is None else _path_scores(enc, data[lo:hi], lo)
         dist = _scan_levels(enc, naive[lo:hi])
-        return _ranked(enc, dist, -score, k, score=score, dist=dist)
+        return _ranked(enc, dist, score, k, score=score, dist=dist)
 
     return _by_samples(enc, naive.shape[0], decode)

@@ -52,6 +52,7 @@ class TestSoftmaxLevels:
     def test_rows_sum_to_one(self, toy_encoding):
         rng = np.random.default_rng(31)
         probs = random_probs(rng, toy_encoding, batch=6)
+        assert (probs.batch_size, probs.num_levels, probs.num_classes) == (6, 3, 9)
         np.testing.assert_allclose(probs.data.sum(axis=2), 1.0, rtol=1e-6)
 
     def test_masked_entries_exactly_zero(self, toy_encoding):
@@ -529,17 +530,24 @@ class TestLevenshteinDecode:
     def test_small_k_matches_scan(self):
         rng = np.random.default_rng(46)
         straddled = {False: 0, True: 0}
-        for trial in range(100):
-            tax = random_taxonomy(rng, max_classes=40, max_depth=5)
+        # 100 small forests, then the benchmark's 10k x 8 tree, where the
+        # paths tied at the k-th distance run thousands wide.
+        for trial in range(101):
+            big = trial == 100
+            if big:
+                tax = generate_synthetic(SyntheticTreeSpec(10_000, 8, seed=0))
+            else:
+                tax = random_taxonomy(rng, max_classes=40, max_depth=5)
             enc = encode(tax)
+            batch = 2 if big else 3
             if trial % 2:
-                probs = tied_probs(rng, enc)
+                probs = tied_probs(rng, enc, batch)
                 naive = naive_decode(probs)
             else:
-                probs = random_probs(rng, enc)
-                naive = rng.integers(0, enc.num_classes, size=(3, enc.num_levels))
+                probs = random_probs(rng, enc, batch)
+                naive = rng.integers(0, enc.num_classes, size=(batch, enc.num_levels))
             logp = log_probs(probs)
-            k = int(rng.integers(1, 8))
+            k = 5 if big else int(rng.integers(1, 8))
             for with_probs in (False, True):
                 decoded = levenshtein_decode(
                     enc, naive, k=k, probs=probs if with_probs else None

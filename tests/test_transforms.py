@@ -54,6 +54,7 @@ class TestPartitionScores:
         scores = toy_scores(4)
         parts = partition_scores(toy_encoding, scores)
         assert parts.data.shape == (4, 3, 9)
+        assert (parts.batch_size, parts.num_levels, parts.num_classes) == (4, 3, 9)
         hits = parts.data == scores[:, None, :]
         np.testing.assert_array_equal(hits.sum(axis=1), np.ones((4, 9)))
 

@@ -43,6 +43,7 @@ class TestTaxonomy:
         b = st.Taxonomy(parents=TOY_PARENTS.copy())
         assert a == b
         assert a != st.Taxonomy(parents=np.array([-1, 0]))
+        assert a != object() and object() != a
 
 
 class TestEncode:
@@ -105,6 +106,7 @@ class TestEncode:
             paths=np.hstack((toy_encoding.paths, np.full((9, 1), st.PAD))),
         )
         assert toy_encoding != deeper and deeper != toy_encoding
+        assert toy_encoding != object() and object() != toy_encoding
 
     def test_single_class(self):
         enc = st.encode(st.Taxonomy(parents=np.array([-1])))
@@ -425,6 +427,8 @@ class TestValidate:
         paths[4, 0] = 2**32 + 1  # would wrap to root 2, its true value
         with pytest.raises(st.ParameterError, match="paths entry 4294967297"):
             self._rebuild(toy_encoding, paths=paths)
+        with pytest.raises(st.ParameterError, match="paths must be an integer array"):
+            self._rebuild(toy_encoding, paths=toy_encoding.paths.astype(np.float64))
 
     def test_non_boolean_masks_rejected(self, toy_encoding):
         masks = np.where(toy_encoding.masks, 5, 0)  # would cast to the same bits
