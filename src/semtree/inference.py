@@ -18,7 +18,7 @@ zero. On top of that sit three decoders:
 The full rankings fill (batch, n) arrays level by level, each path's
 entry from its parent's. One top-k routine then gathers each sample's
 candidates, its paths no worse than the k-th, and cuts a tie at the k-th
-place on those alone; the beam works on its kept paths alone. Ties go to
+place among those only; the beam works on its kept paths alone. Ties go to
 the lexicographically smaller class sequence, so all are deterministic.
 """
 
